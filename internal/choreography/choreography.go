@@ -14,6 +14,7 @@
 package choreography
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strings"
@@ -22,7 +23,6 @@ import (
 	"repro/internal/bpel"
 	"repro/internal/change"
 	"repro/internal/core"
-	"repro/internal/label"
 	"repro/internal/mapping"
 	"repro/internal/wsdl"
 )
@@ -183,24 +183,9 @@ func (c *Choreography) Check() (*ConsistencyReport, error) {
 	return rep, nil
 }
 
-// PartnerImpact describes the effect of a change on one partner.
-type PartnerImpact struct {
-	Partner string
-	// ViewChanged reports whether the partner's view of the
-	// originator changed at all; when false nothing else is set
-	// ("change effects can be kept local", Sec. 3.1).
-	ViewChanged bool
-	// Classification is the two-dimensional classification of the
-	// view change (Defs. 5/6).
-	Classification core.Classification
-	// OldView/NewView are the partner's views of the originator's
-	// public process before and after the change.
-	OldView, NewView *afsa.Automaton
-	// Plans are the propagation plans (nil for invariant changes).
-	Plans []*core.Plan
-	// Suggestions are ready-to-review private adaptations per plan.
-	Suggestions []core.Suggestion
-}
+// PartnerImpact describes the effect of a change on one partner (see
+// core.Impacts).
+type PartnerImpact = core.PartnerImpact
 
 // EvolutionReport is the outcome of analyzing one private-process
 // change (paper Fig. 4).
@@ -218,14 +203,7 @@ type EvolutionReport struct {
 
 // NeedsPropagation reports whether any partner requires propagation
 // (some impact is variant).
-func (r *EvolutionReport) NeedsPropagation() bool {
-	for _, im := range r.Impacts {
-		if im.ViewChanged && im.Classification.Scope == core.ScopeVariant {
-			return true
-		}
-	}
-	return false
-}
+func (r *EvolutionReport) NeedsPropagation() bool { return core.NeedsPropagation(r.Impacts) }
 
 // Evolve analyzes the application of op to party's private process
 // without mutating the choreography: it recreates the public view,
@@ -253,80 +231,29 @@ func (c *Choreography) Evolve(party string, op change.Operation) (*EvolutionRepo
 		NewPublic:  res.Automaton,
 		NewTable:   res.Table,
 	}
-	report.PublicChanged = !afsa.Equivalent(originator.Public, res.Automaton)
-	if !report.PublicChanged {
-		return report, nil
-	}
-
-	for _, partnerName := range c.partnersOf(party) {
-		partner := c.parties[partnerName]
-		impact := PartnerImpact{Partner: partnerName}
-		impact.OldView = originator.Public.View(partnerName)
-		impact.NewView = res.Automaton.View(partnerName)
-		impact.ViewChanged = !afsa.Equivalent(impact.OldView, impact.NewView)
-		if !impact.ViewChanged {
-			report.Impacts = append(report.Impacts, impact)
-			continue
-		}
-		partnerView := partner.Public.View(party)
-		impact.Classification, err = core.Classify(impact.OldView, impact.NewView, partnerView)
-		if err != nil {
-			return nil, err
-		}
-		if impact.Classification.Scope == core.ScopeVariant {
-			plans, suggestions, err := c.planPropagation(party, partner, impact)
-			if err != nil {
-				return nil, err
-			}
-			impact.Plans = plans
-			impact.Suggestions = suggestions
-		}
-		report.Impacts = append(report.Impacts, impact)
+	report.PublicChanged, report.Impacts, err = core.Impacts(context.TODO(), kernelParties{c}, party, originator.Public, res.Automaton, c.reg)
+	if err != nil {
+		return nil, err
 	}
 	return report, nil
 }
 
-// planPropagation runs steps 1–3 of Secs. 5.2/5.3 against a partner,
-// using the partner's *full* public process so the hints stay in the
-// mapping table's state space. For subtractive planning the new view
-// is lifted over the partner's foreign labels (conversations with
-// third parties are unconstrained by this change).
-func (c *Choreography) planPropagation(party string, partner *Party, impact PartnerImpact) ([]*core.Plan, []core.Suggestion, error) {
-	foreign := label.NewSet()
-	for l := range partner.Public.Alphabet() {
-		if !l.Involves(party) {
-			foreign.Add(l)
-		}
-	}
-	var plans []*core.Plan
-	if impact.Classification.Kind.Additive() {
-		p, err := core.PlanAdditive(impact.NewView, partner.Public, partner.Table)
-		if err != nil {
-			return nil, nil, err
-		}
-		plans = append(plans, p)
-	}
-	if impact.Classification.Kind.Subtractive() {
-		view := impact.NewView
-		if len(foreign) > 0 {
-			view = core.LiftForeign(view, foreign)
-		}
-		p, err := core.PlanSubtractive(view, partner.Public, partner.Table)
-		if err != nil {
-			return nil, nil, err
-		}
-		plans = append(plans, p)
-	}
-	sugg := &core.Suggester{Private: partner.Private, Registry: c.reg}
-	var suggestions []core.Suggestion
-	for _, p := range plans {
-		suggestions = append(suggestions, sugg.Suggest(p)...)
-	}
-	return plans, suggestions, nil
+// kernelParties serves core.Impacts from the choreography's parties.
+type kernelParties struct{ c *Choreography }
+
+func (k kernelParties) Partner(name string) core.Partner {
+	p := k.c.parties[name]
+	return core.Partner{Private: p.Private, Public: p.Public, Table: p.Table, Alphabet: p.Public.Alphabet()}
 }
 
-// partnersOf returns the parties that exchange messages with party.
-func (c *Choreography) partnersOf(party string) []string {
+func (k kernelParties) View(of, forParty string) *afsa.Automaton {
+	return k.c.parties[of].Public.View(forParty)
+}
+
+// PartnersOf returns the parties that exchange messages with party,
+// sorted.
+func (k kernelParties) PartnersOf(party string) []string {
+	c := k.c
 	seen := map[string]bool{}
 	p := c.parties[party]
 	for l := range p.Public.Alphabet() {

@@ -437,20 +437,11 @@ func pickClass(rng *rand.Rand, m Mix) string {
 	return "check"
 }
 
-// opsJSON converts an episode's specs to wire ops.
-func opsJSON(ep scenario.Episode) []server.OpJSON {
-	out := make([]server.OpJSON, len(ep.Ops))
-	for i, sp := range ep.Ops {
-		out[i] = server.OpJSON(sp)
-	}
-	return out
-}
-
 // evolveOnly runs a what-if analysis of a random scripted episode
 // against the shared choreography without committing it.
 func (r *runner) evolveOnly(ctx context.Context, rng *rand.Rand, sc *scenario.Scenario, id string) error {
 	ep := sc.Episodes[rng.Intn(len(sc.Episodes))]
-	_, err := r.client.EvolveOps(ctx, id, ep.Party, opsJSON(ep))
+	_, err := r.client.EvolveOps(ctx, id, ep.Party, ep.Ops)
 	return err
 }
 
@@ -460,7 +451,7 @@ func (r *runner) evolveOnly(ctx context.Context, rng *rand.Rand, sc *scenario.Sc
 // version counters) for the next cycle.
 func (r *runner) commitRevert(ctx context.Context, sc *scenario.Scenario, id string) error {
 	ep := sc.Episodes[0]
-	evo, err := r.client.EvolveOps(ctx, id, ep.Party, opsJSON(ep))
+	evo, err := r.client.EvolveOps(ctx, id, ep.Party, ep.Ops)
 	if err != nil {
 		return err
 	}

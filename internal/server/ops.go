@@ -5,53 +5,15 @@ import (
 )
 
 // OpJSON is the wire encoding of one structural change operation of a
-// /v2/ evolve transaction. It mirrors change.Spec — Kind selects the
-// operation; the other fields parameterize it:
-//
-//	replaceProcess  XML (whole process; owner must match the party)
-//	replace         Path, XML (activity fragment)
-//	insert          Path (sibling), XML, After
-//	append          Path (sequence/flow), XML
-//	delete          Path
-//	shift           Path, Anchor, After
-//	setWhileCond    Path, Cond
-//
-// Path addresses an activity as its block elements joined by "/"
-// (e.g. "Sequence:accounting process/Receive:order"); activity XML
-// uses the same fragment syntax the BPEL process bodies use.
-type OpJSON struct {
-	Kind   string `json:"kind"`
-	Path   string `json:"path,omitempty"`
-	XML    string `json:"xml,omitempty"`
-	Cond   string `json:"cond,omitempty"`
-	Anchor string `json:"anchor,omitempty"`
-	After  bool   `json:"after,omitempty"`
-}
-
-// Operation translates the wire op into a change.Operation for party.
-func (o OpJSON) Operation(party string) (change.Operation, error) {
-	op, err := change.Spec(o).Decode(party)
-	if err != nil {
-		return nil, badRequest("%v", err)
-	}
-	return op, nil
-}
+// /v2/ evolve transaction. It is the declarative change.Spec, which
+// documents the operation kinds and their fields.
+type OpJSON = change.Spec
 
 // decodeOps translates a wire op list into a change transaction.
 func decodeOps(party string, ops []OpJSON) ([]change.Operation, error) {
-	if party == "" {
-		return nil, badRequest("missing party")
-	}
-	if len(ops) == 0 {
-		return nil, badRequest("evolve needs at least one op")
-	}
-	out := make([]change.Operation, 0, len(ops))
-	for i, o := range ops {
-		op, err := o.Operation(party)
-		if err != nil {
-			return nil, badRequest("ops[%d]: %v", i, err)
-		}
-		out = append(out, op)
+	out, err := change.DecodeSpecs(party, ops)
+	if err != nil {
+		return nil, badRequest("%v", err)
 	}
 	return out, nil
 }

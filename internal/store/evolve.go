@@ -8,29 +8,13 @@ import (
 	"repro/internal/bpel"
 	"repro/internal/change"
 	"repro/internal/core"
-	"repro/internal/label"
 	"repro/internal/mapping"
 	"repro/internal/wsdl"
 )
 
 // PartnerImpact describes the effect of an analyzed change on one
-// partner (mirrors the paper's Fig. 4 loop: classification, plans,
-// suggestions).
-type PartnerImpact struct {
-	Partner string
-	// ViewChanged reports whether the partner's view of the originator
-	// changed at all; when false nothing else is set.
-	ViewChanged bool
-	// Classification is the two-dimensional classification (Defs. 5/6).
-	Classification core.Classification
-	// OldView/NewView are the partner's views of the originator before
-	// and after the change.
-	OldView, NewView *afsa.Automaton
-	// Plans are the propagation plans (empty for invariant changes).
-	Plans []*core.Plan
-	// Suggestions are ready-to-review private adaptations per plan.
-	Suggestions []core.Suggestion
-}
+// partner (see core.Impacts).
+type PartnerImpact = core.PartnerImpact
 
 // Evolution is an analyzed-but-not-committed change: the outcome of
 // Evolve, pinned to the snapshot version it was computed against.
@@ -63,14 +47,7 @@ type Evolution struct {
 }
 
 // NeedsPropagation reports whether any partner requires propagation.
-func (evo *Evolution) NeedsPropagation() bool {
-	for _, im := range evo.Impacts {
-		if im.ViewChanged && im.Classification.Scope == core.ScopeVariant {
-			return true
-		}
-	}
-	return false
-}
+func (evo *Evolution) NeedsPropagation() bool { return core.NeedsPropagation(evo.Impacts) }
 
 // Impact returns the impact on one partner.
 func (evo *Evolution) Impact(partner string) (*PartnerImpact, bool) {
@@ -146,73 +123,32 @@ func (s *Store) evolveSnapshot(ctx context.Context, snap *Snapshot, party string
 		Registry:        reg,
 		PartnerVersions: map[string]uint64{},
 	}
-	evo.PublicChanged = !afsa.Equivalent(originator.Public, res.Automaton)
-	if !evo.PublicChanged {
-		return evo, nil
+	evo.PublicChanged, evo.Impacts, err = core.Impacts(ctx, snapParties{s, snap}, party, originator.Public, res.Automaton, snap.Registry)
+	if err != nil {
+		return nil, err
 	}
-	for _, partnerName := range snap.PartnersOf(party) {
-		if err := ctxErr(ctx); err != nil {
-			return nil, err
-		}
-		partner := snap.parties[partnerName]
-		evo.PartnerVersions[partnerName] = partner.Version
-		impact := PartnerImpact{Partner: partnerName}
-		impact.OldView = s.view(originator, partnerName)
-		impact.NewView = res.Automaton.View(partnerName)
-		impact.ViewChanged = !afsa.Equivalent(impact.OldView, impact.NewView)
-		if !impact.ViewChanged {
-			evo.Impacts = append(evo.Impacts, impact)
-			continue
-		}
-		partnerView := s.view(partner, party)
-		impact.Classification, err = core.Classify(impact.OldView, impact.NewView, partnerView)
-		if err != nil {
-			return nil, err
-		}
-		if impact.Classification.Scope == core.ScopeVariant {
-			if err := s.planPropagation(snap, party, partner, &impact); err != nil {
-				return nil, err
-			}
-		}
-		evo.Impacts = append(evo.Impacts, impact)
+	for _, im := range evo.Impacts {
+		evo.PartnerVersions[im.Partner] = snap.parties[im.Partner].Version
 	}
 	return evo, nil
 }
 
-// planPropagation runs steps 1–3 of Secs. 5.2/5.3 against a partner,
-// lifting the new view over the partner's foreign labels for
-// subtractive planning (third-party conversations are unconstrained by
-// this change).
-func (s *Store) planPropagation(snap *Snapshot, party string, partner *PartyState, impact *PartnerImpact) error {
-	foreign := label.NewSet()
-	for l := range partner.alphabet {
-		if !l.Involves(party) {
-			foreign.Add(l)
-		}
-	}
-	if impact.Classification.Kind.Additive() {
-		p, err := core.PlanAdditive(impact.NewView, partner.Public, partner.Table)
-		if err != nil {
-			return err
-		}
-		impact.Plans = append(impact.Plans, p)
-	}
-	if impact.Classification.Kind.Subtractive() {
-		view := impact.NewView
-		if len(foreign) > 0 {
-			view = core.LiftForeign(view, foreign)
-		}
-		p, err := core.PlanSubtractive(view, partner.Public, partner.Table)
-		if err != nil {
-			return err
-		}
-		impact.Plans = append(impact.Plans, p)
-	}
-	sugg := &core.Suggester{Private: partner.Private, Registry: snap.Registry}
-	for _, p := range impact.Plans {
-		impact.Suggestions = append(impact.Suggestions, sugg.Suggest(p)...)
-	}
-	return nil
+// snapParties serves core.Impacts from a snapshot, with the bilateral
+// views memoized per party state.
+type snapParties struct {
+	s    *Store
+	snap *Snapshot
+}
+
+func (p snapParties) PartnersOf(party string) []string { return p.snap.PartnersOf(party) }
+
+func (p snapParties) Partner(name string) core.Partner {
+	ps := p.snap.parties[name]
+	return core.Partner{Private: ps.Private, Public: ps.Public, Table: ps.Table, Alphabet: ps.alphabet}
+}
+
+func (p snapParties) View(of, forParty string) *afsa.Automaton {
+	return p.s.view(p.snap.parties[of], forParty)
 }
 
 // CommitEvolution publishes an analyzed evolution. It fails with

@@ -7,6 +7,7 @@ import (
 	"repro/internal/afsa"
 	"repro/internal/bpel"
 	"repro/internal/change"
+	"repro/internal/choreography"
 	"repro/internal/scenario"
 )
 
@@ -76,11 +77,13 @@ func fuzzOpFromBytes(data []byte, pos *int, p *bpel.Process, partners []string, 
 }
 
 // FuzzEvolveOps throws random op transactions at Evolve across the
-// whole scenario corpus. Two invariants: Evolve never panics (malformed
-// transactions fail with an error), and for every transaction that
-// applies cleanly the analysis is path-independent — evolving through
-// the op sequence classifies exactly like evolving through a single
-// replace-the-whole-process op with the same final private (v1 ≡ v2).
+// whole scenario corpus. Three invariants: Evolve never panics
+// (malformed transactions fail with an error); for every transaction
+// that applies cleanly the analysis is path-independent — evolving
+// through the op sequence analyzes exactly like evolving through a
+// single replace-the-whole-process op with the same final private; and
+// the store agrees with the in-process choreography.Evolve run on the
+// same parties under the evolution's registry.
 func FuzzEvolveOps(f *testing.F) {
 	scs, err := scenario.All()
 	if err != nil {
@@ -159,29 +162,51 @@ func FuzzEvolveOps(f *testing.F) {
 			return
 		}
 
-		if evo.PublicChanged != ref.PublicChanged {
-			t.Fatalf("%s/%s: PublicChanged %v via ops, %v via replaceProcess", sc.Name, party, evo.PublicChanged, ref.PublicChanged)
-		}
 		if !afsa.Equivalent(evo.NewPublic, ref.NewPublic) {
 			t.Fatalf("%s/%s: new publics differ between op-sequence and replace-process analysis", sc.Name, party)
 		}
-		for _, im := range evo.Impacts {
-			rim, ok := ref.Impact(im.Partner)
-			if !ok {
-				t.Fatalf("%s/%s: partner %s impacted via ops but absent via replaceProcess", sc.Name, party, im.Partner)
-			}
-			if im.ViewChanged != rim.ViewChanged {
-				t.Fatalf("%s/%s: partner %s ViewChanged %v via ops, %v via replaceProcess", sc.Name, party, im.Partner, im.ViewChanged, rim.ViewChanged)
-			}
-			if !im.ViewChanged {
-				continue
-			}
-			if im.Classification.Kind != rim.Classification.Kind || im.Classification.Scope != rim.Classification.Scope {
-				t.Fatalf("%s/%s: partner %s classified %s %s via ops, %s %s via replaceProcess",
-					sc.Name, party, im.Partner,
-					im.Classification.Kind, im.Classification.Scope,
-					rim.Classification.Kind, rim.Classification.Scope)
+		what := fmt.Sprintf("%s/%s", sc.Name, party)
+		sameImpacts(t, what+" via replaceProcess", evo, ref.PublicChanged, ref.Impacts)
+
+		// The in-process API on the same parties under the evolution's
+		// registry, with the transaction as one composite op.
+		c := choreography.New(evo.Registry)
+		for _, p := range sc.Parties {
+			if err := c.AddParty(p); err != nil {
+				t.Fatalf("%s: in-process AddParty(%s): %v", sc.Name, p.Owner, err)
 			}
 		}
+		rep, err := c.Evolve(party, change.Composite{Ops: ops})
+		if err != nil {
+			t.Fatalf("%s: in-process Evolve failed where the store succeeded: %v", what, err)
+		}
+		inProcess := make([]PartnerImpact, len(rep.Impacts))
+		for i, im := range rep.Impacts {
+			inProcess[i] = PartnerImpact(im)
+		}
+		sameImpacts(t, what+" in-process", evo, rep.PublicChanged, inProcess)
 	})
+}
+
+// sameImpacts requires an analysis to match evo partner by partner:
+// view change, classification, plan count and suggestions.
+func sameImpacts(t *testing.T, what string, evo *Evolution, publicChanged bool, impacts []PartnerImpact) {
+	t.Helper()
+	if publicChanged != evo.PublicChanged || len(impacts) != len(evo.Impacts) {
+		t.Fatalf("%s: PublicChanged %v with %d impacts, store has %v with %d",
+			what, publicChanged, len(impacts), evo.PublicChanged, len(evo.Impacts))
+	}
+	for i, want := range evo.Impacts {
+		got := impacts[i]
+		if got.Partner != want.Partner || got.ViewChanged != want.ViewChanged ||
+			got.Classification != want.Classification || len(got.Plans) != len(want.Plans) {
+			t.Fatalf("%s: partner %s changed=%v %v plans=%d, store has %s changed=%v %v plans=%d", what,
+				got.Partner, got.ViewChanged, got.Classification, len(got.Plans),
+				want.Partner, want.ViewChanged, want.Classification, len(want.Plans))
+		}
+		// Suggestion.String renders each element.
+		if g, w := fmt.Sprint(got.Suggestions), fmt.Sprint(want.Suggestions); g != w {
+			t.Fatalf("%s: partner %s suggestions %s, store has %s", what, want.Partner, g, w)
+		}
+	}
 }

@@ -8,20 +8,18 @@ import (
 	"repro/internal/conformance"
 	"repro/internal/decentral"
 	"repro/internal/discovery"
-	"repro/internal/gen"
 	"repro/internal/instance"
 	"repro/internal/loadgen"
 	"repro/internal/migrate"
 	"repro/internal/runtime"
-	"repro/internal/scenario"
 	"repro/internal/server"
 	"repro/internal/store"
 	"repro/internal/version"
 )
 
 // Serving layer (choreod): a sharded, versioned, cache-aware
-// choreography store plus the JSON HTTP service (v2 surface with a v1
-// compatibility shim) and typed client over it.
+// choreography store plus the JSON HTTP service (/v2/) and typed
+// client over it.
 type (
 	// ChoreographyStore is the concurrent in-memory choreography
 	// store: copy-on-write snapshots per choreography, memoized
@@ -30,23 +28,9 @@ type (
 	ChoreographyStore = store.Store
 	// StoreOption configures NewChoreographyStore.
 	StoreOption = store.Option
-	// StoreSnapshot is one immutable choreography snapshot.
-	StoreSnapshot = store.Snapshot
-	// StoreStats are cumulative store counters (cache hits/misses,
-	// commits, conflicts).
-	StoreStats = store.Stats
-	// StoreEvolution is an analyzed-but-uncommitted change transaction
-	// pinned to its base snapshot version.
-	StoreEvolution = store.Evolution
-	// StoreCheckReport is the cached pairwise consistency report.
-	StoreCheckReport = store.CheckReport
-	// ChoreoServer is the choreod HTTP front end.
-	ChoreoServer = server.Server
 	// ChoreoClient is the typed client for the choreod /v2/ API:
 	// context-first, machine-readable error codes, pagination.
 	ChoreoClient = server.Client
-	// ChoreoAPIError is a non-2xx choreod response with its /v2/ code.
-	ChoreoAPIError = server.APIError
 	// EvolveOp is the wire encoding of one structural change operation
 	// inside a /v2/ evolve transaction.
 	EvolveOp = server.OpJSON
@@ -68,98 +52,35 @@ var (
 	WithStoreJournalFsync = store.WithJournalFsync
 )
 
-// StoreCheckpointInfo describes a completed journal compaction
-// (ChoreographyStore.Checkpoint / POST /v2/admin/checkpoint).
-type StoreCheckpointInfo = store.CheckpointInfo
+// ErrStoreConflict is the store's optimistic-concurrency failure: the
+// choreography advanced past the version a change was analyzed against.
+var ErrStoreConflict = store.ErrConflict
 
-// Store sentinel errors.
-var (
-	ErrStoreNotFound = store.ErrNotFound
-	ErrStoreExists   = store.ErrExists
-	ErrStoreConflict = store.ErrConflict
-	ErrStoreInvalid  = store.ErrInvalid
-	// ErrStoreDegraded marks mutations rejected because a journal
-	// failure could not be rolled back: the store serves reads only
-	// until the process is restarted over an intact journal.
-	ErrStoreDegraded = store.ErrDegraded
-)
-
-// Machine-readable choreod /v2/ error codes (ChoreoErrIs matches them).
-const (
-	ChoreoCodeInvalidArgument   = server.CodeInvalidArgument
-	ChoreoCodeNotFound          = server.CodeNotFound
-	ChoreoCodeAlreadyExists     = server.CodeAlreadyExists
-	ChoreoCodeConflict          = server.CodeConflict
-	ChoreoCodeStaleVersion      = server.CodeStaleVersion
-	ChoreoCodeResourceExhausted = server.CodeResourceExhausted
-	ChoreoCodeUnavailable       = server.CodeUnavailable
-)
-
-// ChoreoRetry is the client-side retry/backoff policy; arm it with
-// ChoreoClient.SetRetry. Idempotent requests (reads, and mutations the
-// client keys with Idempotency-Key) retry through 503s and transport
-// failures with exponential backoff; 429 backpressure retries always,
-// honoring the server's retryAfter hint.
-type ChoreoRetry = server.Retry
+// ChoreoCodeUnavailable is the choreod /v2/ error code of a degraded
+// (read-only) or shutting-down service (ChoreoErrIs matches it).
+const ChoreoCodeUnavailable = server.CodeUnavailable
 
 // ChoreoErrIs reports whether err is a choreod API error with the
 // given /v2/ code.
 func ChoreoErrIs(err error, code string) bool { return server.ErrIs(err, code) }
 
-// Streaming event ingestion: the batch endpoint
-// POST /v2/choreographies/{id}/instances:events advancing tracked
-// per-instance state as events arrive (see docs/ingest.md).
-type (
-	// ChoreoIngestEvent is the wire shape of one observed instance
-	// event on the /v2/ API.
-	ChoreoIngestEvent = server.IngestEventJSON
-	// InstanceLiveState is one tracked instance's ingestion-time state:
-	// trace position, schema tag, conformance status and deviation
-	// point.
-	InstanceLiveState = store.InstanceState
-)
-
-// Ingestion tuning options for NewChoreographyStore /
-// OpenChoreographyStore.
-var (
-	// WithStoreIngestWorkers sizes the per-choreography ingestion
-	// worker pool.
-	WithStoreIngestWorkers = store.WithIngestWorkers
-	// WithStoreIngestQueueCap bounds each ingestion lane's queue; a
-	// full lane rejects batches with backpressure.
-	WithStoreIngestQueueCap = store.WithIngestQueueCap
-)
+// ChoreoIngestEvent is the wire shape of one observed instance event
+// on the streaming ingest endpoint
+// POST /v2/choreographies/{id}/instances:events (see docs/ingest.md).
+type ChoreoIngestEvent = server.IngestEventJSON
 
 // ChoreoRetryAfter extracts the backoff hint of a resource_exhausted
 // (ingestion backpressure) choreod API error; ok is false when err
 // carries no hint.
 func ChoreoRetryAfter(err error) (time.Duration, bool) { return server.RetryAfter(err) }
 
-// Bulk instance migration: choreography-wide sweeps moving every
-// tracked instance to the current committed snapshot
+// BulkMigrationJob is one choreography-wide sweep moving every tracked
+// instance to the current committed snapshot
 // (ChoreographyStore.MigrateAll / StartMigration, served as
-// POST /v2/choreographies/{id}/migrations).
-type (
-	// BulkMigrationJob is one idempotent, resumable sweep: per-shard
-	// checkpoint, progress counters, stranded-instance report.
-	BulkMigrationJob = migrate.Job
-	// BulkMigrationView is a consistent copy of a job's progress.
-	BulkMigrationView = migrate.View
-	// BulkMigrationStatus is a job lifecycle state.
-	BulkMigrationStatus = migrate.Status
-	// StrandedInstance is one instance a sweep could not migrate.
-	StrandedInstance = migrate.Stranded
-	// ChoreoMigrationJob is the wire shape of a job on the /v2/ API.
-	ChoreoMigrationJob = server.MigrationJobJSON
-)
-
-// Bulk-migration job states.
-const (
-	MigrationRunning  = migrate.StatusRunning
-	MigrationDone     = migrate.StatusDone
-	MigrationCanceled = migrate.StatusCanceled
-	MigrationFailed   = migrate.StatusFailed
-)
+// POST /v2/choreographies/{id}/migrations): idempotent and resumable,
+// with a per-shard checkpoint, progress counters and a
+// stranded-instance report.
+type BulkMigrationJob = migrate.Job
 
 // NewChoreographyStore returns an empty store configured by opts
 // (WithStoreShards, WithStoreCacheCap).
@@ -175,7 +96,7 @@ func OpenChoreographyStore(opts ...StoreOption) (*ChoreographyStore, error) {
 }
 
 // NewChoreoServer returns the choreod HTTP service over st.
-func NewChoreoServer(st *ChoreographyStore) *ChoreoServer { return server.New(st) }
+func NewChoreoServer(st *ChoreographyStore) *server.Server { return server.New(st) }
 
 // NewChoreoClient returns a client for the choreod service at base;
 // httpClient may be nil.
@@ -191,19 +112,9 @@ func InferRegistry(procs []*Process, syncOps []string) (*Registry, error) {
 	return store.InferRegistry(procs, syncOps)
 }
 
-// Choreography execution (the empirical substrate validating the
-// consistency criterion).
-type (
-	// System is a set of parties ready for joint synchronous
-	// execution.
-	System = runtime.System
-	// ExecResult is the outcome of exhaustive exploration.
-	ExecResult = runtime.Result
-	// ExecFailure is one reachable execution failure.
-	ExecFailure = runtime.Failure
-	// WalkResult is one random execution.
-	WalkResult = runtime.WalkResult
-)
+// System is a set of parties ready for joint synchronous execution
+// (the empirical substrate validating the consistency criterion).
+type System = runtime.System
 
 // NewSystem builds an executable system from public processes keyed by
 // party name.
@@ -229,33 +140,17 @@ func EvaluateMatches(matcher string, got []ServiceMatch, truth map[string]bool) 
 	return discovery.Evaluate(matcher, got, truth)
 }
 
-// Decentralized consistency establishment (paper Sec. 6).
+// Decentralized change introduction (paper Sec. 6).
 type (
 	// DecentralNode is one participant of the decentralized protocol.
 	DecentralNode = decentral.Node
-	// DecentralOutcome summarizes one protocol run.
-	DecentralOutcome = decentral.Outcome
 	// Negotiation is the outcome of a decentralized change
 	// introduction (propose/vote/commit).
 	Negotiation = decentral.Negotiation
-	// NegotiationVote is one partner's answer.
-	NegotiationVote = decentral.Vote
 	// PartnerAdapter is the partner-side adaptation callback used
 	// during negotiation.
 	PartnerAdapter = decentral.Adapter
 )
-
-// Negotiation votes.
-const (
-	VoteAccept  = decentral.VoteAccept
-	VoteAdapted = decentral.VoteAdapted
-	VoteReject  = decentral.VoteReject
-)
-
-// EstablishDecentralized runs the decentralized consistency protocol.
-func EstablishDecentralized(nodes []DecentralNode) (*DecentralOutcome, error) {
-	return decentral.Establish(nodes)
-}
 
 // NegotiateChange runs the decentralized two-phase introduction of a
 // change: propose the new views, collect accept/adapted/reject votes,
@@ -269,15 +164,9 @@ func NegotiateChange(origin string, newViews map[string]*Automaton, partners []D
 type (
 	// VersionHistory is one party's version tree.
 	VersionHistory = version.History
-	// VersionID identifies a version in a history.
-	VersionID = version.ID
-	// SchemaVersion is one version of a party's process.
-	SchemaVersion = version.Version
 	// VersionManager tracks a history plus the running instances
 	// pinned to its versions.
 	VersionManager = version.Manager
-	// MigrationOutcome summarizes a MigrateAll run.
-	MigrationOutcome = version.MigrationOutcome
 )
 
 // NewVersionHistory starts a version history with the initial version.
@@ -296,13 +185,6 @@ type (
 	MigrationStatus = instance.Status
 	// MigrationReport summarizes a migration.
 	MigrationReport = instance.Report
-)
-
-// Migration statuses.
-const (
-	Migratable    = instance.Migratable
-	NonReplayable = instance.NonReplayable
-	Unviable      = instance.Unviable
 )
 
 // CheckInstance classifies one instance against the new public
@@ -325,31 +207,12 @@ func SampleInstances(public *Automaton, seed int64, n, maxLen int) []Instance {
 // Conformance monitoring: replaying observed message logs against the
 // agreed public processes and detecting uncontrolled evolution.
 type (
-	// Monitor tracks a conversation against the parties' public
-	// processes.
-	Monitor = conformance.Monitor
 	// Deviation localizes one protocol violation.
 	Deviation = conformance.Deviation
-	// DeviationRole says whether a party deviated as sender or
-	// receiver.
-	DeviationRole = conformance.Role
 	// Drift is the outcome of comparing observed behavior with a
 	// published view.
 	Drift = conformance.Drift
 )
-
-// Deviation roles.
-const (
-	RoleSender   = conformance.RoleSender
-	RoleReceiver = conformance.RoleReceiver
-	RoleUnknown  = conformance.RoleUnknown
-)
-
-// NewMonitor builds a conformance monitor from public processes keyed
-// by party.
-func NewMonitor(parties map[string]*Automaton) (*Monitor, error) {
-	return conformance.NewMonitor(parties)
-}
 
 // CheckTrace replays a whole message log; it returns the first
 // deviation (nil if none) and whether the conversation completed.
@@ -364,38 +227,8 @@ func DetectDrift(party string, publishedView *Automaton, traces [][]Label) *Drif
 	return conformance.DetectDrift(party, publishedView, traces)
 }
 
-// Workload generation (seeded, deterministic).
+// The mixed-traffic load generator over the scenario corpus.
 type (
-	// GenParams controls conversation generation.
-	GenParams = gen.Params
-	// Conversation is a generated two-party conversation with its
-	// consistent-by-construction projections.
-	Conversation = gen.Conversation
-)
-
-// DefaultGenParams returns a medium-sized workload.
-func DefaultGenParams() GenParams { return gen.DefaultParams() }
-
-// GenerateConversation builds a random conversation and its two
-// projections.
-func GenerateConversation(seed int64, p GenParams) (*Conversation, error) {
-	return gen.Generate(seed, p)
-}
-
-// RandomChange draws a random structural change for a process.
-func RandomChange(seed int64, p *Process, reg *Registry) (ChangeOperation, error) {
-	return gen.RandomChange(seed, p, reg)
-}
-
-// Workload layer: the scenario corpus and the mixed-traffic load
-// generator over it.
-type (
-	// Scenario is one corpus entry: 5+ party processes (consistent by
-	// construction), scripted running instances and scripted evolution
-	// episodes with expected classifications and migration fallout.
-	Scenario = scenario.Scenario
-	// ScenarioEpisode is one scripted evolution of a Scenario.
-	ScenarioEpisode = scenario.Episode
 	// LoadgenConfig parameterizes one load run against a choreod.
 	LoadgenConfig = loadgen.Config
 	// LoadgenMix weighs the load generator's op classes.
@@ -404,12 +237,6 @@ type (
 	// summary.
 	LoadgenReport = loadgen.Report
 )
-
-// ScenarioNames lists the checked-in corpus scenarios.
-func ScenarioNames() []string { return scenario.Names() }
-
-// LoadScenario loads one corpus scenario by name.
-func LoadScenario(name string) (*Scenario, error) { return scenario.Load(name) }
 
 // RunLoadgen drives mixed corpus traffic against a running choreod
 // and reports per-op-class throughput and latency quantiles.

@@ -11,6 +11,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -33,7 +34,7 @@ type markedFunc struct {
 // Finding is one allocation inside a marked function, formatted like a
 // choreolint diagnostic so the same CI problem matcher picks it up.
 type Finding struct {
-	File   string // as printed by the compiler (module-relative)
+	File   string // module-relative
 	Line   int
 	Col    int
 	Func   string
@@ -73,11 +74,11 @@ func Check(patterns []string) ([]Finding, error) {
 		if err != nil {
 			return nil, err
 		}
-		base := ""
-		if pkg.Module != nil {
-			base = pkg.Module.Dir
+		found, err := matchEscapes(out, pkg, marked)
+		if err != nil {
+			return nil, err
 		}
-		findings = append(findings, matchEscapes(out, base, marked)...)
+		findings = append(findings, found...)
 	}
 	sort.Slice(findings, func(i, j int) bool {
 		a, b := findings[i], findings[j]
@@ -183,39 +184,83 @@ func escapeOutput(importPath string) (string, error) {
 	return buf.String(), nil
 }
 
-// escapeRE matches one positioned compiler diagnostic.
-var escapeRE = regexp.MustCompile(`^(.+\.go):(\d+):(\d+): (.*(?:escapes to heap|moved to heap).*)$`)
+// positionRE matches one positioned compiler diagnostic.
+var positionRE = regexp.MustCompile(`^(.+\.go):(\d+):(\d+): (.*)$`)
 
-// matchEscapes pairs escape diagnostics with the marked declarations
-// they fall inside. The compiler prints paths relative to the module
-// root; base resolves them (empty base: resolve against the working
-// directory).
-func matchEscapes(out, base string, marked []markedFunc) []Finding {
+// isEscape reports whether a diagnostic message is an allocation.
+func isEscape(msg string) bool {
+	return strings.Contains(msg, "escapes to heap") || strings.Contains(msg, "moved to heap")
+}
+
+// matchEscapes pairs the escape diagnostics in out, the compiler
+// output for pkg, with the marked declarations they fall inside. It
+// fails when the compiler printed positioned diagnostics but none of
+// them resolved to a file of pkg: the gate would otherwise pass
+// without having looked at anything.
+func matchEscapes(out string, pkg listedPackage, marked []markedFunc) ([]Finding, error) {
+	root := ""
+	if pkg.Module != nil {
+		root = pkg.Module.Dir
+	}
 	var findings []Finding
+	positioned, resolved := 0, 0
 	for _, line := range strings.Split(out, "\n") {
-		m := escapeRE.FindStringSubmatch(strings.TrimSpace(strings.TrimPrefix(line, "#")))
+		m := positionRE.FindStringSubmatch(strings.TrimSpace(line))
 		if m == nil {
+			continue
+		}
+		positioned++
+		file, ok := resolve(m[1], pkg)
+		if !ok {
+			continue
+		}
+		resolved++
+		if !isEscape(m[4]) {
 			continue
 		}
 		lineNo, _ := strconv.Atoi(m[2])
 		colNo, _ := strconv.Atoi(m[3])
-		abs := m[1]
-		if !filepath.IsAbs(abs) {
-			abs = filepath.Join(base, abs)
-		}
-		var err error
-		if abs, err = filepath.Abs(abs); err != nil {
-			continue
-		}
 		for _, mf := range marked {
-			if mf.File == abs && mf.From <= lineNo && lineNo <= mf.To {
+			if mf.File == file && mf.From <= lineNo && lineNo <= mf.To {
+				rel := file
+				if root != "" {
+					if r, err := filepath.Rel(root, file); err == nil {
+						rel = r
+					}
+				}
 				findings = append(findings, Finding{
-					File: m[1], Line: lineNo, Col: colNo,
+					File: filepath.ToSlash(rel), Line: lineNo, Col: colNo,
 					Func: mf.Name, Detail: m[4],
 				})
 				break
 			}
 		}
 	}
-	return findings
+	if positioned > 0 && resolved == 0 {
+		return nil, fmt.Errorf("%s: none of %d compiler diagnostics resolved to a file of the package", pkg.ImportPath, positioned)
+	}
+	return findings, nil
+}
+
+// resolve maps a path printed by the compiler to the absolute path of
+// the package file it names. The build cache replays -m output
+// verbatim, with paths relative to whichever directory first compiled
+// the package, so the printed path cannot be resolved against the
+// current one. Instead it is matched to the package's own files by
+// base name, and its trailing elements (after any leading "./" and
+// "../") must agree with that file's path.
+func resolve(printed string, pkg listedPackage) (string, bool) {
+	base := filepath.Base(printed)
+	if !slices.Contains(pkg.GoFiles, base) {
+		return "", false
+	}
+	file := filepath.Join(pkg.Dir, base)
+	if filepath.IsAbs(printed) {
+		return file, filepath.Clean(printed) == file
+	}
+	suffix := filepath.ToSlash(filepath.Clean(printed))
+	for strings.HasPrefix(suffix, "../") {
+		suffix = suffix[len("../"):]
+	}
+	return file, strings.HasSuffix(filepath.ToSlash(file), "/"+suffix)
 }

@@ -11,7 +11,11 @@
 // package containing marked functions and flags every "escapes to
 // heap" / "moved to heap" diagnostic whose position falls inside a
 // marked function's declaration. The -m output replays from the build
-// cache, so a clean run after the first is nearly free.
+// cache, so a clean run after the first is nearly free. Replayed paths
+// are relative to whichever directory first compiled the package, so
+// they are matched to the package's own files rather than resolved
+// against the working directory; a compile whose diagnostics name no
+// file of the package fails the gate instead of passing it.
 //
 //	go run ./tools/allocgate ./...
 //

@@ -1,9 +1,13 @@
 package main
 
 import (
+	"fmt"
+	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
+	"time"
 )
 
 // TestFixtureFindings pins the gate's findings on the seeded fixture
@@ -77,33 +81,95 @@ func TestHotPathsClean(t *testing.T) {
 }
 
 // TestMatchEscapes exercises the diagnostic parser on synthetic
-// compiler output, including the lines it must ignore.
+// compiler output, including the lines it must ignore: whatever
+// directory the printed paths are relative to, they resolve to the
+// package's own files.
 func TestMatchEscapes(t *testing.T) {
-	marked := []markedFunc{{Name: "F", File: mustAbs(t, "x.go"), From: 10, To: 20}}
+	dir := filepath.Join(string(filepath.Separator), "m", "p")
+	pkg := listedPackage{Dir: dir, ImportPath: "example/p", GoFiles: []string{"x.go"}}
+	marked := []markedFunc{{Name: "F", File: filepath.Join(dir, "x.go"), From: 10, To: 20}}
 	out := strings.Join([]string{
-		"# repro/internal/example",
+		"# example/p",
 		"x.go:12:5: make([]int, n) escapes to heap",
-		"x.go:15:3: moved to heap: buf",
-		"x.go:25:1: make([]int, n) escapes to heap", // outside the range
-		"x.go:11:2: n does not escape",              // not an allocation
-		"y.go:12:5: make([]int, n) escapes to heap", // other file
+		"../p/x.go:15:3: moved to heap: buf",
+		"p/x.go:16:3: moved to heap: buf2",
+		filepath.Join(dir, "x.go") + ":17:3: moved to heap: buf3",
+		"./x.go:25:1: make([]int, n) escapes to heap", // outside the range
+		"x.go:11:2: n does not escape",                // not an allocation
+		"y.go:12:5: make([]int, n) escapes to heap",   // not a package file
+		"q/x.go:12:5: make([]int, n) escapes to heap", // same name, other directory
 	}, "\n")
-	got := matchEscapes(out, "", marked)
-	if len(got) != 2 {
-		t.Fatalf("got %d findings, want 2: %v", len(got), got)
-	}
-	if got[0].Line != 12 || got[1].Line != 15 {
-		t.Errorf("got lines %d, %d; want 12, 15", got[0].Line, got[1].Line)
-	}
-}
-
-// mustAbs resolves p the same way matchEscapes resolves compiler
-// paths.
-func mustAbs(t *testing.T, p string) string {
-	t.Helper()
-	abs, err := filepath.Abs(p)
+	got, err := matchEscapes(out, pkg, marked)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return abs
+	var lines []int
+	for _, f := range got {
+		lines = append(lines, f.Line)
+		if f.File != "/m/p/x.go" {
+			t.Errorf("finding at line %d: file %q, want /m/p/x.go", f.Line, f.File)
+		}
+	}
+	if !slices.Equal(lines, []int{12, 15, 16, 17}) {
+		t.Fatalf("got findings at lines %v, want [12 15 16 17]: %v", lines, got)
+	}
+
+	// Diagnostics were printed, but none names a file of the package:
+	// the gate must fail rather than pass having checked nothing.
+	if _, err := matchEscapes("q/x.go:12:5: can inline F\ny.go:3:1: x escapes to heap", pkg, marked); err == nil {
+		t.Fatal("unresolvable diagnostics passed silently")
+	}
+}
+
+// TestCacheOrderIndependent runs the gate on a copy of the fixture from
+// a module root and from a subdirectory, in both orders, over the one
+// shared build cache. Whichever directory compiles the package first
+// fixes the relative paths the cache later replays; the findings must
+// not depend on it.
+func TestCacheOrderIndependent(t *testing.T) {
+	src, err := os.ReadFile("../choreolint/testdata/src/allocfree/fixture.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(dir, pattern string) []Finding {
+		t.Helper()
+		t.Chdir(dir)
+		findings, err := Check([]string{pattern})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return findings
+	}
+	for i, rootFirst := range []bool{true, false} {
+		// A fresh module per order, with a unique trailing comment, so
+		// the first run of each order is a cache miss.
+		root := t.TempDir()
+		sub := filepath.Join(root, "sub")
+		for _, d := range []string{filepath.Join(root, "allocfree"), sub} {
+			if err := os.MkdirAll(d, 0o755); err != nil {
+				t.Fatal(err)
+			}
+		}
+		nonce := fmt.Sprintf("\n// order %d, %d\n", i, time.Now().UnixNano())
+		if err := os.WriteFile(filepath.Join(root, "go.mod"), []byte("module allocfix\n\ngo 1.24\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(root, "allocfree", "fixture.go"), append(src, nonce...), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var fromRoot, fromSub []Finding
+		if rootFirst {
+			fromRoot = run(root, "./allocfree")
+			fromSub = run(sub, "../allocfree")
+		} else {
+			fromSub = run(sub, "../allocfree")
+			fromRoot = run(root, "./allocfree")
+		}
+		if len(fromRoot) != 4 {
+			t.Fatalf("root first=%v: got %d findings from the module root, want 4: %v", rootFirst, len(fromRoot), fromRoot)
+		}
+		if !slices.Equal(fromRoot, fromSub) {
+			t.Fatalf("root first=%v: findings differ\nfrom root: %v\nfrom subdirectory: %v", rootFirst, fromRoot, fromSub)
+		}
+	}
 }
