@@ -18,21 +18,9 @@ import (
 // can deadlock at runtime. The annotation semantics is what makes
 // Def. 6 sound.
 func TestAblationAnnotations(t *testing.T) {
-	c, err := PaperScenario()
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := c.Evolve("A", PaperTrackingLimitChange())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var im PartnerImpact
-	for _, i := range rep.Impacts {
-		if i.Partner == "B" {
-			im = i
-		}
-	}
-	buyerParty, _ := c.Party("B")
+	evo, snap := paperEvolution(t, PaperTrackingLimitChange())
+	im, _ := evo.Impact("B")
+	buyerParty, _ := snap.Party("B")
 
 	// Full aFSA semantics: variant (annotated-empty intersection).
 	full := im.NewView.Intersect(buyerParty.Public)
@@ -56,12 +44,7 @@ func TestAblationAnnotations(t *testing.T) {
 
 	// And the runtime confirms the annotated verdict: executing the
 	// unpropagated pair can fail.
-	logisticsParty, _ := c.Party("L")
-	sys, err := runtime.NewSystem(map[string]*afsa.Automaton{
-		"A": rep.NewPublic,
-		"B": buyerParty.Public,
-		"L": logisticsParty.Public,
-	})
+	sys, err := runtime.NewSystem(publicsOf(snap, map[string]*afsa.Automaton{"A": evo.NewPublic}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,21 +106,9 @@ func TestAblationAnnotationsRate(t *testing.T) {
 // true instead of their first visible labels loses the Fig. 12
 // inconsistency entirely.
 func TestAblationViewProjection(t *testing.T) {
-	c, err := PaperScenario()
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := c.Evolve("A", PaperCancelChange())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var im PartnerImpact
-	for _, i := range rep.Impacts {
-		if i.Partner == "B" {
-			im = i
-		}
-	}
-	buyerParty, _ := c.Party("B")
+	evo, snap := paperEvolution(t, PaperCancelChange())
+	im, _ := evo.Impact("B")
+	buyerParty, _ := snap.Party("B")
 
 	// The proper projection keeps the mandatory cancel/delivery
 	// alternative and detects the inconsistency (asserted elsewhere).

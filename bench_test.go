@@ -16,6 +16,7 @@ import (
 
 	"repro/internal/afsa"
 	"repro/internal/bpel"
+	"repro/internal/core"
 	"repro/internal/decentral"
 	"repro/internal/discovery"
 	"repro/internal/gen"
@@ -106,35 +107,84 @@ func BenchmarkFig8Views(b *testing.B) {
 
 // ---- E-F1: whole-scenario consistency ----
 
+// BenchmarkScenarioConsistency checks the paper scenario without a
+// store (so no view memo and no result cache): pair discovery from the
+// alphabets, then views + Consistent per interacting pair.
 func BenchmarkScenarioConsistency(b *testing.B) {
-	c, err := PaperScenario()
-	if err != nil {
-		b.Fatal(err)
+	reg := PaperRegistry()
+	publics := map[string]*Automaton{}
+	var order []string
+	for _, p := range []*Process{PaperBuyer(), PaperAccounting(), PaperLogistics()} {
+		res, err := DerivePublic(p, reg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		publics[p.Owner] = res.Automaton
+		order = append(order, p.Owner)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rep, err := c.Check()
+		rep, err := checkPublics(order, publics)
 		if err != nil || !rep.Consistent() {
 			b.Fatalf("scenario: %v", err)
 		}
 	}
 }
 
+// checkPublics reports bilateral consistency of every interacting pair
+// of publics, parties taken in order.
+func checkPublics(order []string, publics map[string]*Automaton) (*store.CheckReport, error) {
+	var pairs [][2]string
+	for i, a := range order {
+		for _, b := range order[i+1:] {
+			if interacts(publics[a], a, b) || interacts(publics[b], a, b) {
+				pairs = append(pairs, [2]string{a, b})
+			}
+		}
+	}
+	rep := &store.CheckReport{}
+	for _, pair := range pairs {
+		a, b := pair[0], pair[1]
+		ok, err := Consistent(publics[a].View(b), publics[b].View(a))
+		if err != nil {
+			return nil, err
+		}
+		rep.Pairs = append(rep.Pairs, store.PairResult{A: a, B: b, Consistent: ok})
+	}
+	return rep, nil
+}
+
+// interacts reports whether pub sends or receives a message between a
+// and b.
+func interacts(pub *Automaton, a, b string) bool {
+	for l := range pub.Alphabet() {
+		if l.Between(a, b) {
+			return true
+		}
+	}
+	return false
+}
+
 // ---- E-F10: invariant additive change ----
 
 func BenchmarkFig10InvariantAdditive(b *testing.B) {
-	c, err := PaperScenario()
+	benchEvolve(b, PaperOrderTwoChange(), false)
+}
+
+// benchEvolve times the store's analysis of op on the paper
+// scenario's accounting party.
+func benchEvolve(b *testing.B, op ChangeOperation, wantPropagation bool) {
+	st, err := PaperScenario()
 	if err != nil {
 		b.Fatal(err)
 	}
-	op := PaperOrderTwoChange()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rep, err := c.Evolve(paperrepro.Accounting, op)
-		if err != nil || rep.NeedsPropagation() {
-			b.Fatalf("fig10: err=%v", err)
+		evo, err := st.Evolve(benchCtx, PaperChoreography, paperrepro.Accounting, op)
+		if err != nil || evo.NeedsPropagation() != wantPropagation {
+			b.Fatalf("evolve %s: err=%v", op, err)
 		}
 	}
 }
@@ -142,42 +192,17 @@ func BenchmarkFig10InvariantAdditive(b *testing.B) {
 // ---- E-F12/E-F13: variant additive change + propagation ----
 
 func BenchmarkFig12VariantAdditive(b *testing.B) {
-	c, err := PaperScenario()
-	if err != nil {
-		b.Fatal(err)
-	}
-	op := PaperCancelChange()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rep, err := c.Evolve(paperrepro.Accounting, op)
-		if err != nil || !rep.NeedsPropagation() {
-			b.Fatalf("fig12: err=%v", err)
-		}
-	}
+	benchEvolve(b, PaperCancelChange(), true)
 }
 
 func BenchmarkFig13AdditivePropagation(b *testing.B) {
-	c, err := PaperScenario()
-	if err != nil {
-		b.Fatal(err)
-	}
-	rep, err := c.Evolve(paperrepro.Accounting, PaperCancelChange())
-	if err != nil {
-		b.Fatal(err)
-	}
-	var newView, partnerB *Automaton
-	for _, im := range rep.Impacts {
-		if im.Partner == paperrepro.Buyer {
-			newView = im.NewView
-		}
-	}
-	buyerParty, _ := c.Party(paperrepro.Buyer)
-	partnerB = buyerParty.Public
+	evo, snap := paperEvolution(b, PaperCancelChange())
+	im, _ := evo.Impact(paperrepro.Buyer)
+	buyer, _ := snap.Party(paperrepro.Buyer)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		plan, err := PlanAdditive(newView, partnerB, buyerParty.Table)
+		plan, err := core.PlanAdditive(im.NewView, buyer.Public, buyer.Table)
 		if err != nil || len(plan.Hints) != 1 {
 			b.Fatalf("fig13: %v", err)
 		}
@@ -187,31 +212,32 @@ func BenchmarkFig13AdditivePropagation(b *testing.B) {
 // ---- E-F14: suggestion + application + verification ----
 
 func BenchmarkFig14SuggestApply(b *testing.B) {
-	c, err := PaperScenario()
-	if err != nil {
-		b.Fatal(err)
-	}
-	rep, err := c.Evolve(paperrepro.Accounting, PaperCancelChange())
-	if err != nil {
-		b.Fatal(err)
-	}
-	var im PartnerImpact
-	for _, i := range rep.Impacts {
-		if i.Partner == paperrepro.Buyer {
-			im = i
-		}
-	}
-	ops := ExecutableSuggestions(im.Suggestions)
+	benchSuggestApply(b, PaperCancelChange())
+}
+
+// benchSuggestApply times steps 4–5 of the buyer's propagation for op
+// without committing: apply the executable suggestions to the buyer,
+// re-derive it and verify consistency with the changed accounting.
+func benchSuggestApply(b *testing.B, op ChangeOperation) {
+	evo, snap := paperEvolution(b, op)
+	im, _ := evo.Impact(paperrepro.Buyer)
+	buyer, _ := snap.Party(paperrepro.Buyer)
+	adapt := Composite{Ops: ExecutableSuggestions(im.Suggestions)}
+	reg := PaperRegistry()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, res, err := c.AdaptPartner(paperrepro.Buyer, ops)
+		p, err := adapt.Apply(buyer.Private)
+		if err != nil {
+			b.Fatal(err)
+		}
+		res, err := DerivePublic(p, reg)
 		if err != nil {
 			b.Fatal(err)
 		}
 		ok, err := Consistent(im.NewView, res.Automaton.View(paperrepro.Accounting))
 		if err != nil || !ok {
-			b.Fatalf("fig14 verification failed: %v", err)
+			b.Fatalf("suggestion verification failed: %v", err)
 		}
 	}
 }
@@ -219,41 +245,17 @@ func BenchmarkFig14SuggestApply(b *testing.B) {
 // ---- E-F16/E-F17: variant subtractive change + propagation ----
 
 func BenchmarkFig16VariantSubtractive(b *testing.B) {
-	c, err := PaperScenario()
-	if err != nil {
-		b.Fatal(err)
-	}
-	op := PaperTrackingLimitChange()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rep, err := c.Evolve(paperrepro.Accounting, op)
-		if err != nil || !rep.NeedsPropagation() {
-			b.Fatalf("fig16: err=%v", err)
-		}
-	}
+	benchEvolve(b, PaperTrackingLimitChange(), true)
 }
 
 func BenchmarkFig17SubtractivePropagation(b *testing.B) {
-	c, err := PaperScenario()
-	if err != nil {
-		b.Fatal(err)
-	}
-	rep, err := c.Evolve(paperrepro.Accounting, PaperTrackingLimitChange())
-	if err != nil {
-		b.Fatal(err)
-	}
-	var newView *Automaton
-	for _, im := range rep.Impacts {
-		if im.Partner == paperrepro.Buyer {
-			newView = im.NewView
-		}
-	}
-	buyerParty, _ := c.Party(paperrepro.Buyer)
+	evo, snap := paperEvolution(b, PaperTrackingLimitChange())
+	im, _ := evo.Impact(paperrepro.Buyer)
+	buyer, _ := snap.Party(paperrepro.Buyer)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		plan, err := PlanSubtractive(newView, buyerParty.Public, buyerParty.Table)
+		plan, err := core.PlanSubtractive(im.NewView, buyer.Public, buyer.Table)
 		if err != nil || len(plan.Hints) == 0 {
 			b.Fatalf("fig17: %v", err)
 		}
@@ -263,33 +265,7 @@ func BenchmarkFig17SubtractivePropagation(b *testing.B) {
 // ---- E-F18: subtractive suggestion + application + verification ----
 
 func BenchmarkFig18SuggestApply(b *testing.B) {
-	c, err := PaperScenario()
-	if err != nil {
-		b.Fatal(err)
-	}
-	rep, err := c.Evolve(paperrepro.Accounting, PaperTrackingLimitChange())
-	if err != nil {
-		b.Fatal(err)
-	}
-	var im PartnerImpact
-	for _, i := range rep.Impacts {
-		if i.Partner == paperrepro.Buyer {
-			im = i
-		}
-	}
-	ops := ExecutableSuggestions(im.Suggestions)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_, res, err := c.AdaptPartner(paperrepro.Buyer, ops)
-		if err != nil {
-			b.Fatal(err)
-		}
-		ok, err := Consistent(im.NewView, res.Automaton.View(paperrepro.Accounting))
-		if err != nil || !ok {
-			b.Fatalf("fig18 verification failed: %v", err)
-		}
-	}
+	benchSuggestApply(b, PaperTrackingLimitChange())
 }
 
 // ---- D-1: operator cost vs. automaton size ----
@@ -441,11 +417,11 @@ func BenchmarkPropagateScale(b *testing.B) {
 		conv := gen.MustGenerate(int64(msgs)+100, gen.Params{
 			PartyA: "A", PartyB: "B", Messages: msgs, MaxDepth: 3, ChoiceProb: 25, MaxBranch: 3,
 		})
-		c := NewChoreography(conv.Registry)
-		if err := c.AddParty(conv.A); err != nil {
+		st := store.New()
+		if err := st.Create(benchCtx, "conv", nil); err != nil {
 			b.Fatal(err)
 		}
-		if err := c.AddParty(conv.B); err != nil {
+		if _, err := st.PutParties(benchCtx, "conv", []*Process{conv.A, conv.B}, nil); err != nil {
 			b.Fatal(err)
 		}
 		// A deterministic variant change: delete the first receive of A
@@ -468,7 +444,7 @@ func BenchmarkPropagateScale(b *testing.B) {
 		b.Run(fmt.Sprintf("msgs=%d", msgs), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := c.Evolve("A", op); err != nil {
+				if _, err := st.Evolve(benchCtx, "conv", "A", op); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -833,7 +809,7 @@ func BenchmarkChoreodHTTPCheck(b *testing.B) {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 	c := server.NewClient(ts.URL, ts.Client())
-	if err := c.CreateChoreography(benchCtx, "p", []string{"L.getStatusLOp"}); err != nil {
+	if err := c.CreateChoreography(benchCtx, "p", paperrepro.SyncOps); err != nil {
 		b.Fatal(err)
 	}
 	for _, proc := range []*Process{paperrepro.BuyerProcess(), paperrepro.AccountingProcess(), paperrepro.LogisticsProcess()} {
@@ -865,7 +841,7 @@ func BenchmarkChoreodHTTPCheck(b *testing.B) {
 func benchCommitLoop(b *testing.B, st *store.Store) {
 	b.Helper()
 	const id = "procurement"
-	if err := st.Create(benchCtx, id, []string{"L.getStatusLOp"}); err != nil {
+	if err := st.Create(benchCtx, id, paperrepro.SyncOps); err != nil {
 		b.Fatal(err)
 	}
 	if _, err := st.PutParties(benchCtx, id, []*bpel.Process{

@@ -227,20 +227,38 @@ func runView(args []string) error {
 	return nil
 }
 
-func loadAll(paths []string, syncOps []string) ([]*choreo.Process, *choreo.Registry, error) {
+func loadAll(paths []string) ([]*choreo.Process, error) {
 	if len(paths) < 2 {
-		return nil, nil, fmt.Errorf("need at least two -in processes")
+		return nil, fmt.Errorf("need at least two -in processes")
 	}
 	var procs []*choreo.Process
 	for _, path := range paths {
 		p, err := loadProcess(path)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		procs = append(procs, p)
 	}
-	reg, err := buildRegistry(procs, syncOps)
-	return procs, reg, err
+	return procs, nil
+}
+
+// localID names the one choreography of the store the offline
+// subcommands (check, propagate) build.
+const localID = "local"
+
+// localStore registers procs in one commit into a fresh in-memory
+// store under localID; the registry is inferred with syncOps marking
+// synchronous operations.
+func localStore(procs []*choreo.Process, syncOps []string) (*choreo.ChoreographyStore, error) {
+	ctx := context.Background()
+	st := choreo.NewChoreographyStore()
+	if err := st.Create(ctx, localID, syncOps); err != nil {
+		return nil, err
+	}
+	if _, err := st.PutParties(ctx, localID, procs, nil); err != nil {
+		return nil, err
+	}
+	return st, nil
 }
 
 func runCheck(args []string) error {
@@ -249,17 +267,15 @@ func runCheck(args []string) error {
 	fs.Var(&ins, "in", "private process XML file (repeatable)")
 	fs.Var(&syncOps, "sync", "mark party.op as synchronous (repeatable)")
 	fs.Parse(args)
-	procs, reg, err := loadAll(ins, syncOps)
+	procs, err := loadAll(ins)
 	if err != nil {
 		return err
 	}
-	c := choreo.NewChoreography(reg)
-	for _, p := range procs {
-		if err := c.AddParty(p); err != nil {
-			return err
-		}
+	st, err := localStore(procs, syncOps)
+	if err != nil {
+		return err
 	}
-	rep, err := c.Check()
+	rep, err := st.Check(context.Background(), localID)
 	if err != nil {
 		return err
 	}
@@ -349,25 +365,18 @@ func runPropagate(args []string) error {
 	if err != nil {
 		return err
 	}
-	reg, err := buildRegistry([]*choreo.Process{oldP, newP, partnerP}, syncOps)
+	st, err := localStore([]*choreo.Process{oldP, partnerP}, syncOps)
 	if err != nil {
-		return err
-	}
-	c := choreo.NewChoreography(reg)
-	if err := c.AddParty(oldP); err != nil {
-		return err
-	}
-	if err := c.AddParty(partnerP); err != nil {
 		return err
 	}
 	// Express the change as a whole-body replacement of the
 	// originator's process.
 	op := choreo.Replace{Path: nil, New: newP.Body}
-	rep, err := c.Evolve(oldP.Owner, op)
+	evo, err := st.Evolve(context.Background(), localID, oldP.Owner, op)
 	if err != nil {
 		return err
 	}
-	for _, im := range rep.Impacts {
+	for _, im := range evo.Impacts {
 		fmt.Printf("partner %s: view changed=%v", im.Partner, im.ViewChanged)
 		if im.ViewChanged {
 			fmt.Printf(", %s, %s", im.Classification.Kind, im.Classification.Scope)
@@ -757,7 +766,11 @@ func runSimulate(args []string) error {
 	walks := fs.Int("walks", 100, "number of random walks")
 	seed := fs.Int64("seed", 1, "random walk seed")
 	fs.Parse(args)
-	procs, reg, err := loadAll(ins, syncOps)
+	procs, err := loadAll(ins)
+	if err != nil {
+		return err
+	}
+	reg, err := buildRegistry(procs, syncOps)
 	if err != nil {
 		return err
 	}

@@ -125,18 +125,11 @@ func TestEndToEndPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reg, err := buildRegistry([]*choreo.Process{buyer, acc}, nil)
+	st, err := localStore([]*choreo.Process{buyer, acc}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := choreo.NewChoreography(reg)
-	if err := c.AddParty(buyer); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.AddParty(acc); err != nil {
-		t.Fatal(err)
-	}
-	rep, err := c.Check()
+	rep, err := st.Check(context.Background(), localID)
 	if err != nil {
 		t.Fatal(err)
 	}

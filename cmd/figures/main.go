@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -67,28 +68,19 @@ func main() {
 	_ = logistics
 
 	// Sec. 5.1 / Fig. 10 — invariant additive change.
-	c, err := choreo.PaperScenario()
+	st, err := choreo.PaperScenario()
 	if err != nil {
 		log.Fatal(err)
 	}
-	rep, err := c.Evolve("A", choreo.PaperOrderTwoChange())
-	if err != nil {
-		log.Fatal(err)
-	}
-	im := impactOn(rep, "B")
+	im := impactOf(st, choreo.PaperOrderTwoChange())
 	show("Fig. 10a buyer view after order_2 change", im.NewView)
 	fmt.Printf("Fig. 10 classification: %s, %s (paper: additive, invariant)\n\n",
 		im.Classification.Kind, im.Classification.Scope)
 
 	// Sec. 5.2 / Figs. 11–14 — variant additive change.
-	rep, err = c.Evolve("A", choreo.PaperCancelChange())
-	if err != nil {
-		log.Fatal(err)
-	}
-	im = impactOn(rep, "B")
+	im = impactOf(st, choreo.PaperCancelChange())
 	show("Fig. 12a buyer view after cancel change", im.NewView)
-	buyerParty, _ := c.Party("B")
-	inter12 := im.NewView.Intersect(buyerParty.Public)
+	inter12 := im.NewView.Intersect(buyer.Automaton)
 	empty, err = inter12.IsEmpty()
 	if err != nil {
 		log.Fatal(err)
@@ -101,23 +93,14 @@ func main() {
 	for _, s := range im.Suggestions {
 		fmt.Println(" ", s)
 	}
-	ops := choreo.ExecutableSuggestions(im.Suggestions)
-	newBuyer, _, err := c.AdaptPartner("B", ops)
-	if err != nil {
-		log.Fatal(err)
-	}
 	fmt.Println()
-	fmt.Print(newBuyer)
+	fmt.Print(adapted(im))
 	fmt.Println()
 
 	// Sec. 5.3 / Figs. 15–18 — variant subtractive change.
-	rep, err = c.Evolve("A", choreo.PaperTrackingLimitChange())
-	if err != nil {
-		log.Fatal(err)
-	}
-	im = impactOn(rep, "B")
+	im = impactOf(st, choreo.PaperTrackingLimitChange())
 	show("Fig. 16a buyer view after tracking-limit change", im.NewView)
-	inter16 := im.NewView.Intersect(buyerParty.Public)
+	inter16 := im.NewView.Intersect(buyer.Automaton)
 	empty, err = inter16.IsEmpty()
 	if err != nil {
 		log.Fatal(err)
@@ -130,20 +113,30 @@ func main() {
 	for _, s := range im.Suggestions {
 		fmt.Println(" ", s)
 	}
-	newBuyer, _, err = c.AdaptPartner("B", choreo.ExecutableSuggestions(im.Suggestions))
+	fmt.Println()
+	fmt.Print(adapted(im))
+}
+
+// impactOf analyzes an accounting change against the paper scenario
+// without committing it and returns its impact on the buyer.
+func impactOf(st *choreo.ChoreographyStore, op choreo.ChangeOperation) *choreo.PartnerImpact {
+	evo, err := st.Evolve(context.Background(), choreo.PaperChoreography, "A", op)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Println()
-	fmt.Print(newBuyer)
+	im, ok := evo.Impact("B")
+	if !ok {
+		log.Fatal("no impact on B")
+	}
+	return im
 }
 
-func impactOn(rep *choreo.EvolutionReport, partner string) choreo.PartnerImpact {
-	for _, im := range rep.Impacts {
-		if im.Partner == partner {
-			return im
-		}
+// adapted applies the executable suggestions of im to the original
+// buyer, returning the adapted private process.
+func adapted(im *choreo.PartnerImpact) *choreo.Process {
+	p, err := choreo.Composite{Ops: choreo.ExecutableSuggestions(im.Suggestions)}.Apply(choreo.PaperBuyer())
+	if err != nil {
+		log.Fatal(err)
 	}
-	log.Fatalf("no impact on %s", partner)
-	return choreo.PartnerImpact{}
+	return p
 }

@@ -1,6 +1,7 @@
 package choreo
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -8,6 +9,7 @@ import (
 	"repro/internal/gen"
 	"repro/internal/mapping"
 	"repro/internal/runtime"
+	"repro/internal/store"
 )
 
 // TestBilateralVsGlobal is experiment D-7 (criterion ablation): on
@@ -87,11 +89,46 @@ func TestBilateralVsGlobal(t *testing.T) {
 		consistent, inconsistentConfirmed, conservative)
 }
 
+// paperEvolution analyzes op on the accounting party of a fresh paper
+// scenario without committing it; it returns the analysis and the
+// scenario's snapshot it was computed against.
+func paperEvolution(tb testing.TB, op ChangeOperation) (*store.Evolution, *store.Snapshot) {
+	tb.Helper()
+	st, err := PaperScenario()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	snap, err := st.Snapshot(context.Background(), PaperChoreography)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	evo, err := st.Evolve(context.Background(), PaperChoreography, "A", op)
+	if err != nil {
+		tb.Fatalf("evolve %s: %v", op, err)
+	}
+	return evo, snap
+}
+
+// publicsOf returns the public processes of snap's parties, with
+// replace substituting some of them.
+func publicsOf(snap *store.Snapshot, replace map[string]*Automaton) map[string]*Automaton {
+	out := map[string]*Automaton{}
+	for _, name := range snap.Parties() {
+		p, _ := snap.Party(name)
+		out[name] = p.Public
+	}
+	for name, a := range replace {
+		out[name] = a
+	}
+	return out
+}
+
 // TestControlledEvolutionPreventsDeadlock is experiment D-4 as a
 // correctness statement: committing a variant change without
 // propagation makes execution fail; following the framework's
 // propagation keeps every seed deadlock-free.
 func TestControlledEvolutionPreventsDeadlock(t *testing.T) {
+	ctx := context.Background()
 	for _, scenario := range []struct {
 		name string
 		op   ChangeOperation
@@ -99,22 +136,21 @@ func TestControlledEvolutionPreventsDeadlock(t *testing.T) {
 		{"cancel (Sec. 5.2)", PaperCancelChange()},
 		{"tracking limit (Sec. 5.3)", PaperTrackingLimitChange()},
 	} {
-		c, err := PaperScenario()
+		st, err := PaperScenario()
 		if err != nil {
 			t.Fatal(err)
 		}
-		rep, err := c.Evolve("A", scenario.op)
+		evo, err := st.Evolve(ctx, PaperChoreography, "A", scenario.op)
 		if err != nil {
 			t.Fatalf("%s: %v", scenario.name, err)
 		}
 
 		// Uncontrolled: commit without propagation.
-		uncontrolled := map[string]*Automaton{"A": rep.NewPublic}
-		for _, name := range []string{"B", "L"} {
-			p, _ := c.Party(name)
-			uncontrolled[name] = p.Public
+		snap, err := st.CommitEvolution(ctx, evo)
+		if err != nil {
+			t.Fatal(err)
 		}
-		sys, err := NewSystem(uncontrolled)
+		sys, err := NewSystem(publicsOf(snap, nil))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -122,21 +158,13 @@ func TestControlledEvolutionPreventsDeadlock(t *testing.T) {
 			t.Fatalf("%s: uncontrolled evolution did not fail", scenario.name)
 		}
 
-		// Controlled: apply the suggested buyer adaptation first.
-		var im PartnerImpact
-		for _, i := range rep.Impacts {
-			if i.Partner == "B" {
-				im = i
-			}
-		}
-		_, res, err := c.AdaptPartner("B", ExecutableSuggestions(im.Suggestions))
+		// Controlled: then apply the suggested buyer adaptation.
+		im, _ := evo.Impact("B")
+		snap, err = st.ApplyOps(ctx, PaperChoreography, "B", ExecutableSuggestions(im.Suggestions), evo.PartnerVersions["B"])
 		if err != nil {
 			t.Fatalf("%s: %v", scenario.name, err)
 		}
-		controlled := map[string]*Automaton{"A": rep.NewPublic, "B": res.Automaton}
-		p, _ := c.Party("L")
-		controlled["L"] = p.Public
-		sys, err = NewSystem(controlled)
+		sys, err = NewSystem(publicsOf(snap, nil))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -149,13 +177,6 @@ func TestControlledEvolutionPreventsDeadlock(t *testing.T) {
 // TestPublicAPISurface exercises the quick-start shown in the package
 // documentation.
 func TestPublicAPISurface(t *testing.T) {
-	reg := NewRegistry()
-	if err := reg.AddOperation("A", "pingOp", false); err != nil {
-		t.Fatal(err)
-	}
-	if err := reg.AddOperation("B", "pongOp", false); err != nil {
-		t.Fatal(err)
-	}
 	server := &Process{Name: "server", Owner: "A",
 		Body: &Sequence{BlockName: "srv", Children: []Activity{
 			&Receive{BlockName: "ping", Partner: "B", Op: "pingOp"},
@@ -166,18 +187,19 @@ func TestPublicAPISurface(t *testing.T) {
 			&Invoke{BlockName: "ping", Partner: "A", Op: "pingOp"},
 			&Receive{BlockName: "pong", Partner: "A", Op: "pongOp"},
 		}}}
-	c := NewChoreography(reg)
-	if err := c.AddParty(server); err != nil {
+	ctx := context.Background()
+	st := NewChoreographyStore()
+	if err := st.Create(ctx, "ping", nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.AddParty(client); err != nil {
+	if _, err := st.PutParties(ctx, "ping", []*Process{server, client}, nil); err != nil {
 		t.Fatal(err)
 	}
-	report, err := c.Check()
+	report, err := st.Check(ctx, "ping")
 	if err != nil || !report.Consistent() {
 		t.Fatalf("check: %v", err)
 	}
-	evo, err := c.Evolve("A", Delete{Path: Path{"Sequence:srv", "Invoke:pong"}})
+	evo, err := st.Evolve(ctx, "ping", "A", Delete{Path: Path{"Sequence:srv", "Invoke:pong"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,6 +208,16 @@ func TestPublicAPISurface(t *testing.T) {
 	}
 	if !evo.Impacts[0].Classification.Kind.Subtractive() {
 		t.Fatalf("kind = %v", evo.Impacts[0].Classification.Kind)
+	}
+	if len(evo.Impacts[0].Suggestions) == 0 {
+		t.Fatal("no suggestions for the client")
+	}
+	if _, err := st.CommitEvolution(ctx, evo); err != nil {
+		t.Fatal(err)
+	}
+	report, err = st.Check(ctx, "ping")
+	if err != nil || report.Consistent() {
+		t.Fatalf("check after the unpropagated change:\n%s(err %v)", report, err)
 	}
 
 	// XML round trip through the public API.

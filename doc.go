@@ -29,10 +29,6 @@
 //
 // # Quick start
 //
-//	reg := choreo.NewRegistry()
-//	reg.AddOperation("A", "pingOp", false)
-//	reg.AddOperation("B", "pongOp", false)
-//
 //	server := &choreo.Process{Name: "server", Owner: "A",
 //		Body: &choreo.Sequence{BlockName: "srv", Children: []choreo.Activity{
 //			&choreo.Receive{BlockName: "ping", Partner: "B", Op: "pingOp"},
@@ -44,13 +40,15 @@
 //			&choreo.Receive{BlockName: "pong", Partner: "A", Op: "pongOp"},
 //		}}}
 //
-//	c := choreo.NewChoreography(reg)
-//	c.AddParty(server)
-//	c.AddParty(client)
-//	report, _ := c.Check()          // bilateral consistency of all pairs
-//	evo, _ := c.Evolve("A", choreo.Delete{Path: choreo.Path{"Sequence:srv", "Invoke:pong"}})
+//	ctx := context.Background()
+//	st := choreo.NewChoreographyStore()
+//	st.Create(ctx, "ping", nil)        // registry inferred; nil: no sync operations
+//	st.PutParties(ctx, "ping", []*choreo.Process{server, client}, nil)
+//	report, _ := st.Check(ctx, "ping") // bilateral consistency of all pairs
+//	evo, _ := st.Evolve(ctx, "ping", "A", choreo.Delete{Path: choreo.Path{"Sequence:srv", "Invoke:pong"}})
 //	// evo.Impacts[0].Classification → subtractive, variant
 //	// evo.Impacts[0].Suggestions    → how the client should adapt
+//	st.CommitEvolution(ctx, evo)       // publish A's change; ApplyOps adapts B
 //
 // The runnable examples under examples/ walk through the paper's
 // procurement scenario end to end, including both propagation
@@ -59,9 +57,9 @@
 //
 // # Service layer (choreod, API v2)
 //
-// Beyond the in-process library, the framework runs as a long-lived
-// service that owns choreography state and serves concurrent
-// check/evolve/migrate traffic:
+// The store that runs the quick start in process also backs a
+// long-lived service that owns choreography state and serves
+// concurrent check/evolve/migrate traffic:
 //
 //	st  := choreo.NewChoreographyStore(             // sharded COW store
 //		choreo.WithStoreShards(32),

@@ -2,7 +2,6 @@ package choreo
 
 import (
 	"repro/internal/change"
-	"repro/internal/choreography"
 	"repro/internal/core"
 )
 
@@ -86,40 +85,12 @@ type (
 	Suggester = core.Suggester
 )
 
-// PlanAdditive executes steps 1–3 of Sec. 5.2 for one partner.
-func PlanAdditive(newView, partnerPublic *Automaton, tbl MappingTable) (*Plan, error) {
-	return core.PlanAdditive(newView, partnerPublic, tbl)
-}
-
-// PlanSubtractive executes steps 1–3 of Sec. 5.3 for one partner.
-func PlanSubtractive(newView, partnerPublic *Automaton, tbl MappingTable) (*Plan, error) {
-	return core.PlanSubtractive(newView, partnerPublic, tbl)
-}
-
-// Choreography orchestration (paper Fig. 4).
-type (
-	// Choreography holds the parties and drives controlled evolution.
-	Choreography = choreography.Choreography
-	// Party is one registered participant.
-	Party = choreography.Party
-	// EvolutionReport is the outcome of analyzing one change.
-	EvolutionReport = choreography.EvolutionReport
-	// PartnerImpact is the per-partner effect of a change.
-	PartnerImpact = choreography.PartnerImpact
-	// ConsistencyReport is the pairwise consistency status.
-	ConsistencyReport = choreography.ConsistencyReport
-	// PairReport is one pair's status.
-	PairReport = choreography.PairReport
-)
-
-// NewChoreography returns an empty choreography validating against
-// reg (which may be nil).
-func NewChoreography(reg *Registry) *Choreography {
-	return choreography.New(reg)
-}
+// PartnerImpact is the per-partner effect of an analyzed change
+// (ChoreographyStore.Evolve reports one per partner).
+type PartnerImpact = core.PartnerImpact
 
 // ExecutableSuggestions filters suggestions that carry a ready
 // operation.
 func ExecutableSuggestions(s []Suggestion) []ChangeOperation {
-	return choreography.ExecutableSuggestions(s)
+	return core.ExecutableOps(s)
 }

@@ -13,14 +13,6 @@ import (
 // choreography, check consistency, evolve one side and inspect the
 // classification.
 func Example() {
-	reg := choreo.NewRegistry()
-	if err := reg.AddOperation("A", "pingOp", false); err != nil {
-		log.Fatal(err)
-	}
-	if err := reg.AddOperation("B", "pongOp", false); err != nil {
-		log.Fatal(err)
-	}
-
 	server := &choreo.Process{Name: "server", Owner: "A",
 		Body: &choreo.Sequence{BlockName: "srv", Children: []choreo.Activity{
 			&choreo.Receive{BlockName: "ping", Partner: "B", Op: "pingOp"},
@@ -32,20 +24,23 @@ func Example() {
 			&choreo.Receive{BlockName: "pong", Partner: "A", Op: "pongOp"},
 		}}}
 
-	c := choreo.NewChoreography(reg)
-	if err := c.AddParty(server); err != nil {
+	// The store infers the operation registry from the processes; nil
+	// marks no operation synchronous.
+	ctx := context.Background()
+	st := choreo.NewChoreographyStore()
+	if err := st.Create(ctx, "ping", nil); err != nil {
 		log.Fatal(err)
 	}
-	if err := c.AddParty(client); err != nil {
+	if _, err := st.PutParties(ctx, "ping", []*choreo.Process{server, client}, nil); err != nil {
 		log.Fatal(err)
 	}
-	report, err := c.Check()
+	report, err := st.Check(ctx, "ping")
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("consistent: %v\n", report.Consistent())
 
-	evo, err := c.Evolve("A", choreo.Delete{Path: choreo.Path{"Sequence:srv", "Invoke:pong"}})
+	evo, err := st.Evolve(ctx, "ping", "A", choreo.Delete{Path: choreo.Path{"Sequence:srv", "Invoke:pong"}})
 	if err != nil {
 		log.Fatal(err)
 	}

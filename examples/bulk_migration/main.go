@@ -17,21 +17,18 @@ import (
 
 func main() {
 	ctx := context.Background()
-	st := choreo.NewChoreographyStore()
-	const id = "procurement"
-	if err := st.Create(ctx, id, []string{"L.getStatusLOp"}); err != nil {
-		log.Fatal(err)
-	}
-	// The whole scenario registers as one change transaction.
-	parties := []*choreo.Process{choreo.PaperBuyer(), choreo.PaperAccounting(), choreo.PaperLogistics()}
-	if _, err := st.PutParties(ctx, id, parties, nil); err != nil {
+	const id = choreo.PaperChoreography
+	// PaperScenario registers the whole scenario as one change
+	// transaction.
+	st, err := choreo.PaperScenario()
+	if err != nil {
 		log.Fatal(err)
 	}
 
 	// A synthetic production population: 2000 running conversations
 	// per party under the unbounded-tracking schema.
-	for i, p := range parties {
-		if _, err := st.SampleInstances(ctx, id, p.Owner, int64(i+1), 2000, 12); err != nil {
+	for i, party := range []string{"B", "A", "L"} {
+		if _, err := st.SampleInstances(ctx, id, party, int64(i+1), 2000, 12); err != nil {
 			log.Fatal(err)
 		}
 	}

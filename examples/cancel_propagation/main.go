@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -14,7 +15,9 @@ import (
 )
 
 func main() {
-	c, err := choreo.PaperScenario()
+	ctx := context.Background()
+	const id = choreo.PaperChoreography
+	st, err := choreo.PaperScenario()
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -24,12 +27,12 @@ func main() {
 	op := choreo.PaperCancelChange()
 	fmt.Printf("applying change: %s\n\n", op)
 
-	report, err := c.Evolve("A", op)
+	evo, err := st.Evolve(ctx, id, "A", op)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("public process changed: %v\n", report.PublicChanged)
-	for _, im := range report.Impacts {
+	fmt.Printf("public process changed: %v\n", evo.PublicChanged)
+	for _, im := range evo.Impacts {
 		if !im.ViewChanged {
 			fmt.Printf("partner %s: view unchanged — nothing to do\n", im.Partner)
 			continue
@@ -38,12 +41,7 @@ func main() {
 	}
 
 	// The buyer impact is variant: propagation needed (paper Fig. 12).
-	var buyer choreo.PartnerImpact
-	for _, im := range report.Impacts {
-		if im.Partner == "B" {
-			buyer = im
-		}
-	}
+	buyer, _ := evo.Impact("B")
 	fmt.Println("\n=== Buyer view after the change (paper Fig. 12a) ===")
 	fmt.Print(buyer.NewView.DebugString())
 
@@ -61,30 +59,28 @@ func main() {
 		fmt.Println(" suggestion:", s)
 	}
 
-	// Apply the executable suggestion (paper Fig. 14) and verify
-	// (step 5).
-	ops := choreo.ExecutableSuggestions(buyer.Suggestions)
-	newBuyer, res, err := c.AdaptPartner("B", ops)
+	// Commit the change, apply the executable suggestion (paper
+	// Fig. 14) to the buyer version it was computed against, and
+	// verify (step 5).
+	if _, err := st.CommitEvolution(ctx, evo); err != nil {
+		log.Fatal(err)
+	}
+	snap, err := st.ApplyOps(ctx, id, "B", choreo.ExecutableSuggestions(buyer.Suggestions), evo.PartnerVersions["B"])
 	if err != nil {
 		log.Fatal(err)
 	}
+	newBuyer, _ := snap.Party("B")
 	fmt.Println("\n=== Buyer private process after propagation (paper Fig. 14) ===")
-	fmt.Print(newBuyer)
+	fmt.Print(newBuyer.Private)
 
-	ok, err := choreo.Consistent(buyer.NewView, res.Automaton.View("A"))
+	pair, err := st.CheckPair(ctx, id, "A", "B")
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("\nbilaterally consistent again: %v\n", ok)
+	fmt.Printf("\nbilaterally consistent again: %v\n", pair.Consistent)
 
-	// Commit both sides and re-check the whole choreography.
-	if err := c.Commit(report); err != nil {
-		log.Fatal(err)
-	}
-	if err := c.CommitParty(newBuyer); err != nil {
-		log.Fatal(err)
-	}
-	check, err := c.Check()
+	// Re-check the whole choreography.
+	check, err := st.Check(ctx, id)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -23,29 +24,30 @@ func main() {
 	// Evolve the choreography: accounting bounds tracking, the buyer
 	// adaptation is applied (Sec. 5.3 flow), yielding the new buyer
 	// schema.
-	c, err := choreo.PaperScenario()
+	ctx := context.Background()
+	const id = choreo.PaperChoreography
+	st, err := choreo.PaperScenario()
 	if err != nil {
 		log.Fatal(err)
 	}
-	report, err := c.Evolve("A", choreo.PaperTrackingLimitChange())
+	evo, err := st.Evolve(ctx, id, "A", choreo.PaperTrackingLimitChange())
 	if err != nil {
 		log.Fatal(err)
 	}
-	var buyerImpact choreo.PartnerImpact
-	for _, im := range report.Impacts {
-		if im.Partner == "B" {
-			buyerImpact = im
-		}
+	if _, err := st.CommitEvolution(ctx, evo); err != nil {
+		log.Fatal(err)
 	}
-	newBuyer, newRes, err := c.AdaptPartner("B", choreo.ExecutableSuggestions(buyerImpact.Suggestions))
+	buyerImpact, _ := evo.Impact("B")
+	snap, err := st.ApplyOps(ctx, id, "B", choreo.ExecutableSuggestions(buyerImpact.Suggestions), evo.PartnerVersions["B"])
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("new buyer schema: %q (%d states)\n\n", newBuyer.Name, newRes.Automaton.NumStates())
+	newBuyer, _ := snap.Party("B")
+	fmt.Printf("new buyer schema: %q (%d states)\n\n", newBuyer.Private.Name, newBuyer.Public.NumStates())
 
 	// Sample running instances of the OLD schema and migrate them.
 	instances := choreo.SampleInstances(oldPub.Automaton, 2026, 1000, 12)
-	rep, err := choreo.MigrateInstances(instances, newRes.Automaton)
+	rep, err := choreo.MigrateInstances(instances, newBuyer.Public)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -57,13 +59,13 @@ func main() {
 	// Show one concrete instance of each outcome.
 	shown := map[choreo.MigrationStatus]bool{}
 	for _, inst := range instances {
-		st, err := choreo.CheckInstance(inst, newRes.Automaton)
+		status, err := choreo.CheckInstance(inst, newBuyer.Public)
 		if err != nil {
 			log.Fatal(err)
 		}
-		if !shown[st] {
-			shown[st] = true
-			fmt.Printf("\n%s example (%s): %s", st, inst.ID, choreo.Word(inst.Trace))
+		if !shown[status] {
+			shown[status] = true
+			fmt.Printf("\n%s example (%s): %s", status, inst.ID, choreo.Word(inst.Trace))
 		}
 	}
 	fmt.Println()

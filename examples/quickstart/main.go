@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -47,12 +48,12 @@ func main() {
 	}
 	fmt.Printf("buyer ↔ accounting consistent: %v\n", ok)
 
-	// 4. The whole choreography at once.
-	c, err := choreo.PaperScenario()
+	// 4. The whole choreography at once, held by the store.
+	st, err := choreo.PaperScenario()
 	if err != nil {
 		log.Fatal(err)
 	}
-	report, err := c.Check()
+	report, err := st.Check(context.Background(), choreo.PaperChoreography)
 	if err != nil {
 		log.Fatal(err)
 	}

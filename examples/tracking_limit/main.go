@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -13,7 +14,9 @@ import (
 )
 
 func main() {
-	c, err := choreo.PaperScenario()
+	ctx := context.Background()
+	const id = choreo.PaperChoreography
+	st, err := choreo.PaperScenario()
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -21,11 +24,11 @@ func main() {
 	op := choreo.PaperTrackingLimitChange()
 	fmt.Printf("applying change: %s\n\n", op)
 
-	report, err := c.Evolve("A", op)
+	evo, err := st.Evolve(ctx, id, "A", op)
 	if err != nil {
 		log.Fatal(err)
 	}
-	for _, im := range report.Impacts {
+	for _, im := range evo.Impacts {
 		fmt.Printf("partner %s: view changed=%v", im.Partner, im.ViewChanged)
 		if im.ViewChanged {
 			fmt.Printf(" — %s, %s", im.Classification.Kind, im.Classification.Scope)
@@ -33,13 +36,7 @@ func main() {
 		fmt.Println()
 	}
 
-	var buyer choreo.PartnerImpact
-	for _, im := range report.Impacts {
-		if im.Partner == "B" {
-			buyer = im
-		}
-	}
-
+	buyer, _ := evo.Impact("B")
 	fmt.Println("\n=== Buyer view after the change (paper Fig. 16a) ===")
 	fmt.Print(buyer.NewView.DebugString())
 
@@ -57,37 +54,31 @@ func main() {
 		fmt.Println(" suggestion:", s)
 	}
 
-	ops := choreo.ExecutableSuggestions(buyer.Suggestions)
-	newBuyer, res, err := c.AdaptPartner("B", ops)
+	if _, err := st.CommitEvolution(ctx, evo); err != nil {
+		log.Fatal(err)
+	}
+	snap, err := st.ApplyOps(ctx, id, "B", choreo.ExecutableSuggestions(buyer.Suggestions), evo.PartnerVersions["B"])
 	if err != nil {
 		log.Fatal(err)
 	}
+	newBuyer, _ := snap.Party("B")
 	fmt.Println("\n=== Buyer private process after propagation (paper Fig. 18) ===")
-	fmt.Print(newBuyer)
+	fmt.Print(newBuyer.Private)
 
-	ok, err := choreo.Consistent(buyer.NewView, res.Automaton.View("A"))
+	pair, err := st.CheckPair(ctx, id, "A", "B")
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("\nbilaterally consistent again: %v\n", ok)
+	fmt.Printf("\nbilaterally consistent again: %v\n", pair.Consistent)
 
 	// The logistics partner needs no adaptation: its tracking loop is
 	// a pick (external choice), so the bounded accounting process
 	// never violates a logistics-mandatory alternative.
-	for _, im := range report.Impacts {
-		if im.Partner == "L" {
-			fmt.Printf("logistics: %s, %s — no propagation required\n",
-				im.Classification.Kind, im.Classification.Scope)
-		}
-	}
+	logistics, _ := evo.Impact("L")
+	fmt.Printf("logistics: %s, %s — no propagation required\n",
+		logistics.Classification.Kind, logistics.Classification.Scope)
 
-	if err := c.Commit(report); err != nil {
-		log.Fatal(err)
-	}
-	if err := c.CommitParty(newBuyer); err != nil {
-		log.Fatal(err)
-	}
-	check, err := c.Check()
+	check, err := st.Check(ctx, id)
 	if err != nil {
 		log.Fatal(err)
 	}

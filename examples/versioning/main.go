@@ -7,8 +7,11 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
+	"maps"
+	"slices"
 
 	choreo "repro"
 )
@@ -29,26 +32,35 @@ func main() {
 	// The accounting department proposes the tracking-limit change via
 	// the decentralized negotiation protocol; the buyer's adapter runs
 	// the framework's own propagation pipeline.
-	c, err := choreo.PaperScenario()
+	ctx := context.Background()
+	st, err := choreo.PaperScenario()
 	if err != nil {
 		log.Fatal(err)
 	}
-	rep, err := c.Evolve("A", choreo.PaperTrackingLimitChange())
+	evo, err := st.Evolve(ctx, choreo.PaperChoreography, "A", choreo.PaperTrackingLimitChange())
 	if err != nil {
 		log.Fatal(err)
 	}
-	var buyerImpact choreo.PartnerImpact
-	for _, im := range rep.Impacts {
-		if im.Partner == "B" {
-			buyerImpact = im
-		}
+	snap, err := st.Snapshot(ctx, choreo.PaperChoreography)
+	if err != nil {
+		log.Fatal(err)
 	}
+	buyerParty, _ := snap.Party("B")
+	logisticsParty, _ := snap.Party("L")
+	buyerImpact, _ := evo.Impact("B")
+	// The adapter previews the adapted buyer without committing it:
+	// the negotiation decides whether the change goes ahead.
 	var adaptedBuyer *choreo.Process
 	adapter := func(party string, newView *choreo.Automaton) (*choreo.Automaton, bool) {
 		if party != "B" {
 			return nil, false
 		}
-		proc, res, err := c.AdaptPartner("B", choreo.ExecutableSuggestions(buyerImpact.Suggestions))
+		ops := choreo.ExecutableSuggestions(buyerImpact.Suggestions)
+		proc, err := choreo.Composite{Ops: ops}.Apply(buyerParty.Private)
+		if err != nil {
+			return nil, false
+		}
+		res, err := choreo.DerivePublic(proc, reg)
 		if err != nil {
 			return nil, false
 		}
@@ -56,23 +68,21 @@ func main() {
 		return res.Automaton, true
 	}
 
-	logisticsParty, _ := c.Party("L")
-	buyerParty, _ := c.Party("B")
 	partners := []choreo.DecentralNode{
 		{Party: "B", Public: buyerParty.Public},
 		{Party: "L", Public: logisticsParty.Public},
 	}
 	views := map[string]*choreo.Automaton{
-		"B": rep.NewPublic.View("B"),
-		"L": rep.NewPublic.View("L"),
+		"B": evo.NewPublic.View("B"),
+		"L": evo.NewPublic.View("L"),
 	}
 	neg, err := choreo.NegotiateChange("A", views, partners, adapter)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("negotiation committed: %v (messages: %d)\n", neg.Committed, neg.Messages)
-	for p, v := range neg.Votes {
-		fmt.Printf("  %s: %v\n", p, v)
+	for _, p := range slices.Sorted(maps.Keys(neg.Votes)) {
+		fmt.Printf("  %s: %v\n", p, neg.Votes[p])
 	}
 	if !neg.Committed {
 		log.Fatal("negotiation aborted")

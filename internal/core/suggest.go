@@ -33,6 +33,18 @@ func (s Suggestion) String() string {
 	return s.Description + " [manual]"
 }
 
+// ExecutableOps returns the operations of the suggestions that carry
+// one, in order, skipping manual recommendations.
+func ExecutableOps(suggestions []Suggestion) []change.Operation {
+	var ops []change.Operation
+	for _, s := range suggestions {
+		if s.Op != nil {
+			ops = append(ops, s.Op)
+		}
+	}
+	return ops
+}
+
 // Suggester derives private-process adaptations from a propagation
 // plan.
 type Suggester struct {

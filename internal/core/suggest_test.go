@@ -191,3 +191,17 @@ func TestSuggestionStringForms(t *testing.T) {
 func And3(a, b, c string) *formula.Formula {
 	return formula.And(formula.Var(a), formula.Var(b), formula.Var(c))
 }
+
+func TestExecutableOps(t *testing.T) {
+	del := change.Delete{Path: bpel.Path{"x"}}
+	ops := ExecutableOps([]Suggestion{
+		{Description: "manual only"},
+		{Description: "auto", Op: del},
+	})
+	if len(ops) != 1 || ops[0].String() != del.String() {
+		t.Fatalf("ops = %v", ops)
+	}
+	if ops := ExecutableOps(nil); ops != nil {
+		t.Fatalf("no suggestions gave %v", ops)
+	}
+}

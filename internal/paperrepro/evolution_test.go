@@ -1,44 +1,96 @@
 package paperrepro
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/afsa"
 	"repro/internal/bpel"
 	"repro/internal/change"
-	"repro/internal/choreography"
 	"repro/internal/core"
 	"repro/internal/mapping"
+	"repro/internal/store"
 )
 
-// scenario builds the full three-party choreography of paper Fig. 1.
-func scenario(t *testing.T) *choreography.Choreography {
+var ctx = context.Background()
+
+// procurement is the store ID of the paper scenario.
+const procurement = "procurement"
+
+// scenario loads the full three-party choreography of paper Fig. 1
+// into a fresh store, registered as one commit.
+func scenario(t *testing.T) *store.Store {
 	t.Helper()
-	c := choreography.New(Registry())
-	for _, p := range []*bpel.Process{BuyerProcess(), AccountingProcess(), LogisticsProcess()} {
-		if err := c.AddParty(p); err != nil {
-			t.Fatalf("AddParty(%s): %v", p.Name, err)
-		}
+	st := store.New()
+	if err := st.Create(ctx, procurement, SyncOps); err != nil {
+		t.Fatal(err)
 	}
-	rep, err := c.Check()
+	parties := []*bpel.Process{BuyerProcess(), AccountingProcess(), LogisticsProcess()}
+	if _, err := st.PutParties(ctx, procurement, parties, nil); err != nil {
+		t.Fatal(err)
+	}
+	requireConsistent(t, st, "initial choreography")
+	return st
+}
+
+// evolve analyzes op on the accounting party without committing it.
+func evolve(t *testing.T, st *store.Store, op change.Operation) *store.Evolution {
+	t.Helper()
+	evo, err := st.Evolve(ctx, procurement, Accounting, op)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return evo
+}
+
+func impactOn(t *testing.T, evo *store.Evolution, partner string) *store.PartnerImpact {
+	t.Helper()
+	im, ok := evo.Impact(partner)
+	if !ok {
+		t.Fatalf("no impact on %s in report", partner)
+	}
+	return im
+}
+
+// party returns a party's current committed state.
+func party(t *testing.T, st *store.Store, name string) *store.PartyState {
+	t.Helper()
+	snap, err := st.Snapshot(ctx, procurement)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ps, ok := snap.Party(name)
+	if !ok {
+		t.Fatalf("no party %s", name)
+	}
+	return ps
+}
+
+// requireConsistent checks every interacting pair of the choreography.
+func requireConsistent(t *testing.T, st *store.Store, what string) {
+	t.Helper()
+	rep, err := st.Check(ctx, procurement)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !rep.Consistent() {
-		t.Fatalf("initial choreography inconsistent:\n%s", rep)
+		t.Fatalf("%s inconsistent:\n%s", what, rep)
 	}
-	return c
 }
 
-func impactOn(t *testing.T, rep *choreography.EvolutionReport, partner string) choreography.PartnerImpact {
+// commitWithAdaptation commits the analyzed change and then the
+// buyer's executable suggestions against the buyer version the
+// analysis saw (steps 4–5 of Secs. 5.2/5.3); it returns the adapted
+// buyer.
+func commitWithAdaptation(t *testing.T, st *store.Store, evo *store.Evolution, ops []change.Operation) *store.PartyState {
 	t.Helper()
-	for _, im := range rep.Impacts {
-		if im.Partner == partner {
-			return im
-		}
+	if _, err := st.CommitEvolution(ctx, evo); err != nil {
+		t.Fatal(err)
 	}
-	t.Fatalf("no impact on %s in report", partner)
-	return choreography.PartnerImpact{}
+	if _, err := st.ApplyOps(ctx, procurement, Buyer, ops, evo.PartnerVersions[Buyer]); err != nil {
+		t.Fatal(err)
+	}
+	return party(t, st, Buyer)
 }
 
 // TestFig10InvariantAdditive reproduces Sec. 5.1 / Figs. 9–10: adding
@@ -46,11 +98,8 @@ func impactOn(t *testing.T, rep *choreography.EvolutionReport, partner string) c
 // intersection with the buyer public process stays non-empty
 // (Fig. 10b) — an invariant additive change, no propagation.
 func TestFig10InvariantAdditive(t *testing.T) {
-	c := scenario(t)
-	rep, err := c.Evolve(Accounting, OrderTwoChange())
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := scenario(t)
+	rep := evolve(t, st, OrderTwoChange())
 	if !rep.PublicChanged {
 		t.Fatal("order_2 change did not alter the public process")
 	}
@@ -79,27 +128,18 @@ func TestFig10InvariantAdditive(t *testing.T) {
 	}
 	// Committing keeps the choreography consistent without touching
 	// any partner.
-	if err := c.Commit(rep); err != nil {
+	if _, err := st.CommitEvolution(ctx, rep); err != nil {
 		t.Fatal(err)
 	}
-	check, err := c.Check()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !check.Consistent() {
-		t.Fatalf("choreography inconsistent after invariant change:\n%s", check)
-	}
+	requireConsistent(t, st, "choreography after invariant change")
 }
 
 // TestFig12VariantAdditive reproduces Sec. 5.2 / Figs. 11–12: the
 // cancel option makes the buyer view inconsistent with the buyer
 // public process — a variant additive change.
 func TestFig12VariantAdditive(t *testing.T) {
-	c := scenario(t)
-	rep, err := c.Evolve(Accounting, CancelChange())
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := scenario(t)
+	rep := evolve(t, st, CancelChange())
 	buyer := impactOn(t, rep, Buyer)
 	// Fig. 12a: the new buyer view with the projected mandatory
 	// annotation cancelOp AND deliveryOp.
@@ -114,8 +154,7 @@ func TestFig12VariantAdditive(t *testing.T) {
 	}
 	// Fig. 12b: the intersection with the buyer public process is
 	// annotated-empty.
-	buyerParty, _ := c.Party(Buyer)
-	inter := buyer.NewView.Intersect(buyerParty.Public)
+	inter := buyer.NewView.Intersect(party(t, st, Buyer).Public)
 	empty, err := inter.IsEmpty()
 	if err != nil {
 		t.Fatal(err)
@@ -132,11 +171,8 @@ func TestFig12VariantAdditive(t *testing.T) {
 // Fig. 13: the difference automaton A” = τ_B(A') \ B and the adapted
 // buyer public process B' = A” ∪ B.
 func TestFig13AdditivePropagation(t *testing.T) {
-	c := scenario(t)
-	rep, err := c.Evolve(Accounting, CancelChange())
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := scenario(t)
+	rep := evolve(t, st, CancelChange())
 	buyer := impactOn(t, rep, Buyer)
 	if len(buyer.Plans) != 1 {
 		t.Fatalf("plans = %d, want 1", len(buyer.Plans))
@@ -181,16 +217,13 @@ func TestFig13AdditivePropagation(t *testing.T) {
 // pick accepting delivery or cancel; applying it and re-deriving
 // restores bilateral consistency.
 func TestFig14SuggestionAndVerification(t *testing.T) {
-	c := scenario(t)
-	rep, err := c.Evolve(Accounting, CancelChange())
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := scenario(t)
+	rep := evolve(t, st, CancelChange())
 	buyer := impactOn(t, rep, Buyer)
 	if len(buyer.Suggestions) == 0 {
 		t.Fatal("no suggestions for the buyer adaptation")
 	}
-	ops := choreography.ExecutableSuggestions(buyer.Suggestions)
+	ops := core.ExecutableOps(buyer.Suggestions)
 	if len(ops) != 1 {
 		t.Fatalf("executable suggestions = %d, want 1 (%v)", len(ops), buyer.Suggestions)
 	}
@@ -212,21 +245,18 @@ func TestFig14SuggestionAndVerification(t *testing.T) {
 	}
 
 	// Steps 4–5: apply to the buyer, re-derive, verify consistency.
-	newBuyer, res, err := c.AdaptPartner(Buyer, ops)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := commitWithAdaptation(t, st, rep, ops)
 	// The re-derived buyer public must accept the cancel conversation.
-	if !res.Automaton.Accepts(word("B#A#orderOp", "A#B#cancelOp")) {
-		t.Fatalf("adapted buyer public rejects the cancel conversation:\n%s", res.Automaton.DebugString())
+	if !res.Public.Accepts(word("B#A#orderOp", "A#B#cancelOp")) {
+		t.Fatalf("adapted buyer public rejects the cancel conversation:\n%s", res.Public.DebugString())
 	}
-	ok2, err := afsa.Consistent(buyer.NewView, res.Automaton.View(Accounting))
+	ok2, err := afsa.Consistent(buyer.NewView, res.Public.View(Accounting))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !ok2 {
 		t.Fatalf("adapted buyer still inconsistent with accounting':\nview:\n%s\nbuyer':\n%s",
-			buyer.NewView.DebugString(), res.Automaton.DebugString())
+			buyer.NewView.DebugString(), res.Public.DebugString())
 	}
 
 	// The adaptation is behaviorally the paper's Fig. 14 process: both
@@ -235,35 +265,20 @@ func TestFig14SuggestionAndVerification(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if diff := afsa.ExplainDifference(res.Automaton, fig14.Automaton); diff != "" {
+	if diff := afsa.ExplainDifference(res.Public, fig14.Automaton); diff != "" {
 		t.Fatalf("adapted buyer public differs from Fig. 14's: %s", diff)
 	}
 
-	// Commit everything; the full choreography is consistent again.
-	if err := c.Commit(rep); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.CommitParty(newBuyer); err != nil {
-		t.Fatal(err)
-	}
-	check, err := c.Check()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !check.Consistent() {
-		t.Fatalf("choreography inconsistent after propagation:\n%s", check)
-	}
+	// The full choreography is consistent again.
+	requireConsistent(t, st, "choreography after propagation")
 }
 
 // TestFig16VariantSubtractive reproduces Sec. 5.3 / Figs. 15–16:
 // bounding parcel tracking to at most one round is a variant
 // subtractive change for the buyer.
 func TestFig16VariantSubtractive(t *testing.T) {
-	c := scenario(t)
-	rep, err := c.Evolve(Accounting, TrackingLimitChange())
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := scenario(t)
+	rep := evolve(t, st, TrackingLimitChange())
 	buyer := impactOn(t, rep, Buyer)
 	// Fig. 16a: the new buyer view.
 	if diff := afsa.ExplainDifference(buyer.NewView, Fig16aBuyerViewAfterTrackingLimit()); diff != "" {
@@ -278,8 +293,7 @@ func TestFig16VariantSubtractive(t *testing.T) {
 	// Fig. 16b: the intersection with the buyer public process is
 	// annotated-empty — the buyer's mandatory get_status alternative is
 	// no longer supported after one round.
-	buyerParty, _ := c.Party(Buyer)
-	inter := buyer.NewView.Intersect(buyerParty.Public)
+	inter := buyer.NewView.Intersect(party(t, st, Buyer).Public)
 	empty, err := inter.IsEmpty()
 	if err != nil {
 		t.Fatal(err)
@@ -292,11 +306,8 @@ func TestFig16VariantSubtractive(t *testing.T) {
 // TestFig17SubtractivePropagation reproduces Sec. 5.3 steps 1–2 /
 // Fig. 17: the removed sequences and the adapted buyer public process.
 func TestFig17SubtractivePropagation(t *testing.T) {
-	c := scenario(t)
-	rep, err := c.Evolve(Accounting, TrackingLimitChange())
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := scenario(t)
+	rep := evolve(t, st, TrackingLimitChange())
 	buyer := impactOn(t, rep, Buyer)
 	if len(buyer.Plans) != 1 {
 		t.Fatalf("plans = %d, want 1", len(buyer.Plans))
@@ -344,13 +355,10 @@ func TestFig17SubtractivePropagation(t *testing.T) {
 // suggestion and re-deriving restores consistency with the accounting
 // side.
 func TestFig18SuggestionAndVerification(t *testing.T) {
-	c := scenario(t)
-	rep, err := c.Evolve(Accounting, TrackingLimitChange())
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := scenario(t)
+	rep := evolve(t, st, TrackingLimitChange())
 	buyer := impactOn(t, rep, Buyer)
-	ops := choreography.ExecutableSuggestions(buyer.Suggestions)
+	ops := core.ExecutableOps(buyer.Suggestions)
 	if len(ops) != 1 {
 		t.Fatalf("executable suggestions = %d, want 1 (%v)", len(ops), buyer.Suggestions)
 	}
@@ -367,28 +375,25 @@ func TestFig18SuggestionAndVerification(t *testing.T) {
 		t.Fatalf("replacement kind = %v, want Switch", repl.New.Kind())
 	}
 
-	newBuyer, res, err := c.AdaptPartner(Buyer, ops)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := commitWithAdaptation(t, st, rep, ops)
 	// The adapted buyer supports at most one tracking round.
-	if !res.Automaton.Accepts(word("B#A#orderOp", "A#B#deliveryOp", "B#A#getStatusOp", "A#B#statusOp", "B#A#terminateOp")) {
-		t.Fatalf("one tracking round lost:\n%s", res.Automaton.DebugString())
+	if !res.Public.Accepts(word("B#A#orderOp", "A#B#deliveryOp", "B#A#getStatusOp", "A#B#statusOp", "B#A#terminateOp")) {
+		t.Fatalf("one tracking round lost:\n%s", res.Public.DebugString())
 	}
-	if !res.Automaton.Accepts(word("B#A#orderOp", "A#B#deliveryOp", "B#A#terminateOp")) {
-		t.Fatalf("direct termination lost:\n%s", res.Automaton.DebugString())
+	if !res.Public.Accepts(word("B#A#orderOp", "A#B#deliveryOp", "B#A#terminateOp")) {
+		t.Fatalf("direct termination lost:\n%s", res.Public.DebugString())
 	}
-	if res.Automaton.Accepts(word("B#A#orderOp", "A#B#deliveryOp",
+	if res.Public.Accepts(word("B#A#orderOp", "A#B#deliveryOp",
 		"B#A#getStatusOp", "A#B#statusOp", "B#A#getStatusOp", "A#B#statusOp", "B#A#terminateOp")) {
 		t.Fatal("two tracking rounds still accepted")
 	}
-	ok2, err := afsa.Consistent(buyer.NewView, res.Automaton.View(Accounting))
+	ok2, err := afsa.Consistent(buyer.NewView, res.Public.View(Accounting))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !ok2 {
 		t.Fatalf("adapted buyer still inconsistent:\nview:\n%s\nbuyer':\n%s",
-			buyer.NewView.DebugString(), res.Automaton.DebugString())
+			buyer.NewView.DebugString(), res.Public.DebugString())
 	}
 
 	// The adaptation is behaviorally the paper's Fig. 18 process: both
@@ -397,7 +402,7 @@ func TestFig18SuggestionAndVerification(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if diff := afsa.ExplainDifference(res.Automaton, fig18.Automaton); diff != "" {
+	if diff := afsa.ExplainDifference(res.Public, fig18.Automaton); diff != "" {
 		t.Fatalf("adapted buyer public differs from Fig. 18's: %s", diff)
 	}
 
@@ -421,17 +426,5 @@ func TestFig18SuggestionAndVerification(t *testing.T) {
 		t.Fatalf("logistics scope = %v, want invariant (pick-based loop)", logistics.Classification.Scope)
 	}
 
-	if err := c.Commit(rep); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.CommitParty(newBuyer); err != nil {
-		t.Fatal(err)
-	}
-	check, err := c.Check()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !check.Consistent() {
-		t.Fatalf("choreography inconsistent after subtractive propagation:\n%s", check)
-	}
+	requireConsistent(t, st, "choreography after subtractive propagation")
 }

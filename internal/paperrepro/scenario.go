@@ -22,6 +22,11 @@ const (
 	Logistics  = "L"
 )
 
+// SyncOps marks the scenario's one synchronous operation, logistics
+// parcel tracking (Fig. 8b), in the "party.op" form registry inference
+// takes; every other operation is asynchronous.
+var SyncOps = []string{"L.getStatusLOp"}
+
 // Registry returns the WSDL registry of the scenario: the operations
 // each party provides, with getStatusLOp as the single synchronous
 // operation (Sec. 2: "all operations are asynchronous except the

@@ -11,6 +11,8 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/bpel"
+	"repro/internal/scenario"
 	"repro/internal/store"
 )
 
@@ -174,7 +176,7 @@ func TestResponseTooLargeError(t *testing.T) {
 		// A syntactically valid JSON object bigger than the cap: only
 		// the cap detection can explain the failure.
 		fmt.Fprintf(w, `{"id": %q, "version": 1, "parties": []}`,
-			strings.Repeat("x", maxResponseBytes))
+			strings.Repeat("x", maxBodyBytes))
 	}))
 	defer huge.Close()
 	c := NewClient(huge.URL, huge.Client())
@@ -186,11 +188,88 @@ func TestResponseTooLargeError(t *testing.T) {
 	ok := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
 		fmt.Fprintf(w, `{"id": %q, "version": 1, "parties": []}`,
-			strings.Repeat("x", maxResponseBytes-64))
+			strings.Repeat("x", maxBodyBytes-64))
 	}))
 	defer ok.Close()
 	c2 := NewClient(ok.URL, ok.Client())
 	if _, err := c2.Choreography(ctx, "anything"); err != nil {
 		t.Fatalf("in-cap response failed: %v", err)
 	}
+}
+
+// TestRequestBodyCap pins the server side of the shared body cap: a
+// request one byte over maxBodyBytes gets the invalid_argument
+// envelope, while every request the scenario corpus makes — party
+// batches and scripted instance uploads — still goes through.
+func TestRequestBodyCap(t *testing.T) {
+	srv := New(store.New())
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	// A syntactically valid prefix, so only the cap can stop the
+	// decoder.
+	head, tail := `{"id":"`, `"}`
+	body := head + strings.Repeat("x", maxBodyBytes+1-len(head)-len(tail)) + tail
+	resp, err := ts.Client().Post(ts.URL+"/v2/choreographies", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var env ErrorEnvelope
+	err = json.NewDecoder(resp.Body).Decode(&env)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusBadRequest || env.Code != CodeInvalidArgument {
+		t.Fatalf("oversized body: status %d, envelope %+v (decode err %v)", resp.StatusCode, env, err)
+	}
+
+	c := NewClient(ts.URL, ts.Client())
+	scs, err := scenario.All()
+	if err != nil {
+		t.Fatal(err)
+	}
+	largest := 0
+	sent := func(req any) {
+		data, err := json.Marshal(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		largest = max(largest, len(data))
+	}
+	for _, sc := range scs {
+		if err := c.CreateChoreography(ctx, sc.Name, sc.SyncOps); err != nil {
+			t.Fatal(err)
+		}
+		batch := BatchPartiesRequest{}
+		for _, p := range sc.Parties {
+			data, err := bpel.MarshalXML(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			batch.Parties = append(batch.Parties, PartyRequest{XML: string(data)})
+		}
+		sent(batch)
+		if _, err := c.RegisterParties(ctx, sc.Name, sc.Parties, nil); err != nil {
+			t.Fatalf("%s: registering: %v", sc.Name, err)
+		}
+		for _, p := range sc.Parties {
+			var insts []InstanceJSON
+			for _, in := range sc.InstancesOf(p.Owner) {
+				ij := InstanceJSON{ID: in.ID}
+				for _, l := range in.Trace {
+					ij.Trace = append(ij.Trace, l.String())
+				}
+				insts = append(insts, ij)
+			}
+			if len(insts) == 0 {
+				continue
+			}
+			sent(InstancesRequest{Instances: insts})
+			if _, err := c.AddInstances(ctx, sc.Name, p.Owner, insts); err != nil {
+				t.Fatalf("%s/%s: adding instances: %v", sc.Name, p.Owner, err)
+			}
+		}
+	}
+	if largest == 0 || largest > maxBodyBytes {
+		t.Fatalf("largest corpus request is %d bytes, cap %d", largest, maxBodyBytes)
+	}
+	t.Logf("largest corpus request: %d bytes (cap %d)", largest, maxBodyBytes)
 }

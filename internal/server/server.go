@@ -68,6 +68,7 @@ import (
 
 	"repro/internal/bpel"
 	"repro/internal/change"
+	"repro/internal/core"
 	"repro/internal/discovery"
 	"repro/internal/instance"
 	"repro/internal/label"
@@ -290,11 +291,7 @@ func (s *Server) applyOps(ctx context.Context, evo *store.Evolution, req ApplyRe
 	}
 	var ops []change.Operation
 	if len(req.Suggestions) == 0 {
-		for _, sg := range impact.Suggestions {
-			if sg.Op != nil {
-				ops = append(ops, sg.Op)
-			}
-		}
+		ops = core.ExecutableOps(impact.Suggestions)
 	} else {
 		for _, idx := range req.Suggestions {
 			if idx < 0 || idx >= len(impact.Suggestions) {

@@ -30,7 +30,7 @@ func testClient(t *testing.T) (*Client, *Server) {
 func paperSetup(t *testing.T, c *Client) string {
 	t.Helper()
 	const id = "procurement"
-	if err := c.CreateChoreography(ctx, id, []string{"L.getStatusLOp"}); err != nil {
+	if err := c.CreateChoreography(ctx, id, paperrepro.SyncOps); err != nil {
 		t.Fatal(err)
 	}
 	for _, p := range []*bpel.Process{
@@ -175,7 +175,7 @@ func TestProcurementScenarioEndToEnd(t *testing.T) {
 	// accounting tail the tracking loop lives in), with a migration
 	// what-if for its running instances.
 	const id2 = "procurement-2"
-	if err := c.CreateChoreography(ctx, id2, []string{"L.getStatusLOp"}); err != nil {
+	if err := c.CreateChoreography(ctx, id2, paperrepro.SyncOps); err != nil {
 		t.Fatal(err)
 	}
 	for _, p := range []*bpel.Process{

@@ -116,7 +116,7 @@ func (s *Server) v2Readyz(w http.ResponseWriter, _ *http.Request) {
 
 func (s *Server) v2Create(w http.ResponseWriter, r *http.Request) {
 	var req CreateRequest
-	if err := decode(r, &req); err != nil {
+	if err := decode(w, r, &req); err != nil {
 		writeErrorV2(w, err)
 		return
 	}
@@ -171,7 +171,7 @@ func (s *Server) v2Delete(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) v2RegisterParty(w http.ResponseWriter, r *http.Request) {
 	var req PartyRequest
-	if err := decode(r, &req); err != nil {
+	if err := decode(w, r, &req); err != nil {
 		writeErrorV2(w, err)
 		return
 	}
@@ -200,7 +200,7 @@ func (s *Server) v2RegisterParty(w http.ResponseWriter, r *http.Request) {
 // one version bump.
 func (s *Server) v2BatchParties(w http.ResponseWriter, r *http.Request) {
 	var req BatchPartiesRequest
-	if err := decode(r, &req); err != nil {
+	if err := decode(w, r, &req); err != nil {
 		writeErrorV2(w, err)
 		return
 	}
@@ -263,7 +263,7 @@ func (s *Server) v2GetParty(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) v2UpdateParty(w http.ResponseWriter, r *http.Request) {
 	var req PartyRequest
-	if err := decode(r, &req); err != nil {
+	if err := decode(w, r, &req); err != nil {
 		writeErrorV2(w, err)
 		return
 	}
@@ -332,7 +332,7 @@ func (s *Server) v2Check(w http.ResponseWriter, r *http.Request) {
 // rest of the batch.
 func (s *Server) v2BatchCheck(w http.ResponseWriter, r *http.Request) {
 	var req BatchCheckRequest
-	if err := decode(r, &req); err != nil {
+	if err := decode(w, r, &req); err != nil {
 		writeErrorV2(w, err)
 		return
 	}
@@ -366,7 +366,7 @@ func (s *Server) v2BatchCheck(w http.ResponseWriter, r *http.Request) {
 // analysis already minted for it instead of registering a duplicate.
 func (s *Server) v2Evolve(w http.ResponseWriter, r *http.Request) {
 	var req EvolveOpsRequest
-	if err := decode(r, &req); err != nil {
+	if err := decode(w, r, &req); err != nil {
 		writeErrorV2(w, err)
 		return
 	}
@@ -455,7 +455,7 @@ func (s *Server) v2Apply(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req ApplyRequest
-	if err := decode(r, &req); err != nil {
+	if err := decode(w, r, &req); err != nil {
 		writeErrorV2(w, err)
 		return
 	}
@@ -470,7 +470,7 @@ func (s *Server) v2Apply(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) v2Instances(w http.ResponseWriter, r *http.Request) {
 	var req InstancesRequest
-	if err := decode(r, &req); err != nil {
+	if err := decode(w, r, &req); err != nil {
 		writeErrorV2(w, err)
 		return
 	}
@@ -495,7 +495,7 @@ const maxIngestBatch = 1024
 // and the client resubmits the identical batch after backing off.
 func (s *Server) v2IngestEvents(w http.ResponseWriter, r *http.Request) {
 	var req IngestRequest
-	if err := decode(r, &req); err != nil {
+	if err := decode(w, r, &req); err != nil {
 		writeErrorV2(w, err)
 		return
 	}
@@ -526,7 +526,7 @@ func (s *Server) v2IngestEvents(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) v2Migrate(w http.ResponseWriter, r *http.Request) {
 	var req MigrateRequest
-	if err := decode(r, &req); err != nil {
+	if err := decode(w, r, &req); err != nil {
 		writeErrorV2(w, err)
 		return
 	}
@@ -546,7 +546,7 @@ func (s *Server) v2Migrate(w http.ResponseWriter, r *http.Request) {
 // (200) without re-sweeping.
 func (s *Server) v2StartMigration(w http.ResponseWriter, r *http.Request) {
 	var req MigrationStartRequest
-	if err := decode(r, &req); err != nil {
+	if err := decode(w, r, &req); err != nil {
 		writeErrorV2(w, err)
 		return
 	}
@@ -666,7 +666,7 @@ const cancelSettleTimeout = 500 * time.Millisecond
 
 func (s *Server) v2Publish(w http.ResponseWriter, r *http.Request) {
 	var req PublishRequest
-	if err := decode(r, &req); err != nil {
+	if err := decode(w, r, &req); err != nil {
 		writeErrorV2(w, err)
 		return
 	}
@@ -680,7 +680,7 @@ func (s *Server) v2Publish(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) v2Match(w http.ResponseWriter, r *http.Request) {
 	var req MatchRequest
-	if err := decode(r, &req); err != nil {
+	if err := decode(w, r, &req); err != nil {
 		writeErrorV2(w, err)
 		return
 	}

@@ -128,7 +128,7 @@ func TestV2ApplySuggestionRace(t *testing.T) {
 func TestV2BatchParties(t *testing.T) {
 	c, _ := testClient(t)
 	const id = "batch"
-	if err := c.CreateChoreography(ctx, id, []string{"L.getStatusLOp"}); err != nil {
+	if err := c.CreateChoreography(ctx, id, paperrepro.SyncOps); err != nil {
 		t.Fatal(err)
 	}
 	batch, err := c.RegisterParties(ctx, id, []*bpel.Process{
@@ -262,7 +262,7 @@ func TestV2MultiOpEvolveMatchesSequentialV1(t *testing.T) {
 	// Reference analysis: the v1 semantics (whole-process replacement of
 	// the sequentially composed result) on its own choreography.
 	idRef := "procurement-v1"
-	if err := c.CreateChoreography(ctx, idRef, []string{"L.getStatusLOp"}); err != nil {
+	if err := c.CreateChoreography(ctx, idRef, paperrepro.SyncOps); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := c.RegisterParties(ctx, idRef, []*bpel.Process{
@@ -277,7 +277,7 @@ func TestV2MultiOpEvolveMatchesSequentialV1(t *testing.T) {
 
 	// The multi-op transaction on an identical choreography.
 	id := "procurement-v2"
-	if err := c.CreateChoreography(ctx, id, []string{"L.getStatusLOp"}); err != nil {
+	if err := c.CreateChoreography(ctx, id, paperrepro.SyncOps); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := c.RegisterParties(ctx, id, []*bpel.Process{

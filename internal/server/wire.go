@@ -439,10 +439,20 @@ func writeErrorV2(w http.ResponseWriter, err error) {
 	writeJSON(w, status, env)
 }
 
-func decode(r *http.Request, v any) error {
-	dec := json.NewDecoder(r.Body)
+// maxBodyBytes caps every JSON body on the wire: the server reads at
+// most this much of a request, the client of a response.
+const maxBodyBytes = 8 << 20
+
+// decode reads one JSON request body of at most maxBodyBytes into v;
+// a longer body is an invalid_argument error.
+func decode(w http.ResponseWriter, r *http.Request, v any) error {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			return badRequest("request body exceeds %d bytes", tooLarge.Limit)
+		}
 		return badRequest("decoding body: %v", err)
 	}
 	return nil

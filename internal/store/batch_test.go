@@ -19,7 +19,7 @@ import (
 // single process mentions them all).
 func TestPutPartiesSingleCommit(t *testing.T) {
 	s := New()
-	if err := s.Create(ctx, "c", paperSyncOps); err != nil {
+	if err := s.Create(ctx, "c", paperrepro.SyncOps); err != nil {
 		t.Fatal(err)
 	}
 	before := s.Stats().Commits
@@ -174,7 +174,7 @@ func TestContextCancellation(t *testing.T) {
 func TestCacheCapEviction(t *testing.T) {
 	s := New(WithCacheCap(1))
 	const id = "capped"
-	if err := s.Create(ctx, id, paperSyncOps); err != nil {
+	if err := s.Create(ctx, id, paperrepro.SyncOps); err != nil {
 		t.Fatal(err)
 	}
 	for _, p := range []*bpel.Process{

@@ -111,7 +111,7 @@ func BenchmarkParallelMixedTraffic(b *testing.B) {
 // paper's Fig. 4 loop) on the procurement scenario.
 func BenchmarkEvolveAnalysis(b *testing.B) {
 	s := New()
-	if err := s.Create(ctx, "p", paperSyncOps); err != nil {
+	if err := s.Create(ctx, "p", paperrepro.SyncOps); err != nil {
 		b.Fatal(err)
 	}
 	for _, p := range []*bpel.Process{
@@ -139,7 +139,7 @@ func BenchmarkIngestEvents(b *testing.B) {
 		for _, workers := range []int{1, 4, 8} {
 			b.Run(fmt.Sprintf("batch%d/workers%d", batch, workers), func(b *testing.B) {
 				s := New(WithIngestWorkers(workers))
-				if err := s.Create(ctx, "p", paperSyncOps); err != nil {
+				if err := s.Create(ctx, "p", paperrepro.SyncOps); err != nil {
 					b.Fatal(err)
 				}
 				for _, p := range []*bpel.Process{

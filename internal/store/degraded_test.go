@@ -170,7 +170,7 @@ func TestCommitEvolutionIdempotent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Create(ctx, "procurement", paperSyncOps); err != nil {
+	if err := s.Create(ctx, "procurement", paperrepro.SyncOps); err != nil {
 		t.Fatal(err)
 	}
 	procs := []*bpel.Process{

@@ -7,7 +7,6 @@ import (
 	"repro/internal/afsa"
 	"repro/internal/bpel"
 	"repro/internal/change"
-	"repro/internal/choreography"
 	"repro/internal/scenario"
 )
 
@@ -82,8 +81,8 @@ func fuzzOpFromBytes(data []byte, pos *int, p *bpel.Process, partners []string, 
 // that applies cleanly the analysis is path-independent — evolving
 // through the op sequence analyzes exactly like evolving through a
 // single replace-the-whole-process op with the same final private; and
-// the store agrees with the in-process choreography.Evolve run on the
-// same parties under the evolution's registry.
+// the store agrees with referenceEvolve run on the same parties under
+// the evolution's registry.
 func FuzzEvolveOps(f *testing.F) {
 	scs, err := scenario.All()
 	if err != nil {
@@ -168,23 +167,13 @@ func FuzzEvolveOps(f *testing.F) {
 		what := fmt.Sprintf("%s/%s", sc.Name, party)
 		sameImpacts(t, what+" via replaceProcess", evo, ref.PublicChanged, ref.Impacts)
 
-		// The in-process API on the same parties under the evolution's
-		// registry, with the transaction as one composite op.
-		c := choreography.New(evo.Registry)
-		for _, p := range sc.Parties {
-			if err := c.AddParty(p); err != nil {
-				t.Fatalf("%s: in-process AddParty(%s): %v", sc.Name, p.Owner, err)
-			}
-		}
-		rep, err := c.Evolve(party, change.Composite{Ops: ops})
+		// The independent reference on the same parties under the
+		// evolution's registry.
+		refChanged, refImpacts, err := referenceEvolve(sc.Parties, evo.Registry, party, ops)
 		if err != nil {
-			t.Fatalf("%s: in-process Evolve failed where the store succeeded: %v", what, err)
+			t.Fatalf("%s: reference evolve failed where the store succeeded: %v", what, err)
 		}
-		inProcess := make([]PartnerImpact, len(rep.Impacts))
-		for i, im := range rep.Impacts {
-			inProcess[i] = PartnerImpact(im)
-		}
-		sameImpacts(t, what+" in-process", evo, rep.PublicChanged, inProcess)
+		sameImpacts(t, what+" vs reference", evo, refChanged, refImpacts)
 	})
 }
 

@@ -286,7 +286,7 @@ func TestIngestValidation(t *testing.T) {
 func TestIngestBackpressureCounted(t *testing.T) {
 	s := New(WithShards(2), WithIngestWorkers(1), WithIngestQueueCap(1))
 	const id = "bp"
-	if err := s.Create(ctx, id, paperSyncOps); err != nil {
+	if err := s.Create(ctx, id, paperrepro.SyncOps); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := s.RegisterParty(ctx, id, paperrepro.BuyerProcess()); err != nil {

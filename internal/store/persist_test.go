@@ -482,7 +482,7 @@ func TestRecoverAfterCheckpointOnly(t *testing.T) {
 // instances into a store through its public mutation API.
 func seedPaperScenario(t *testing.T, s *Store) {
 	t.Helper()
-	if err := s.Create(ctx, "procurement", paperSyncOps); err != nil {
+	if err := s.Create(ctx, "procurement", paperrepro.SyncOps); err != nil {
 		t.Fatal(err)
 	}
 	procs := []*bpel.Process{

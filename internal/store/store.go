@@ -71,6 +71,7 @@ import (
 	"context"
 	"fmt"
 	"hash/fnv"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -654,6 +655,20 @@ func (r *CheckReport) Consistent() bool {
 		}
 	}
 	return true
+}
+
+// String renders one line per pair, "A ↔ B: consistent" or
+// "A ↔ B: INCONSISTENT".
+func (r *CheckReport) String() string {
+	var b strings.Builder
+	for _, p := range r.Pairs {
+		status := "consistent"
+		if !p.Consistent {
+			status = "INCONSISTENT"
+		}
+		fmt.Fprintf(&b, "%s ↔ %s: %s\n", p.A, p.B, status)
+	}
+	return b.String()
 }
 
 // CheckSnapshot verifies bilateral consistency of every interacting

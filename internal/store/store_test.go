@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/afsa"
 	"repro/internal/bpel"
-	"repro/internal/change"
 	"repro/internal/core"
 	"repro/internal/gen"
 	"repro/internal/mapping"
@@ -31,18 +30,13 @@ func genID(i int) string { return fmt.Sprintf("conv-%03d", i) }
 // cancellation tests build their own.
 var ctx = context.Background()
 
-// paperSyncOps marks the one synchronous operation of the paper
-// scenario (logistics parcel tracking, Fig. 8b) for registry
-// inference.
-var paperSyncOps = []string{"L.getStatusLOp"}
-
 // paperStore loads the paper's procurement scenario (Sec. 2) into a
 // fresh store.
 func paperStore(t *testing.T) (*Store, string) {
 	t.Helper()
 	s := New(WithShards(4))
 	const id = "procurement"
-	if err := s.Create(ctx, id, paperSyncOps); err != nil {
+	if err := s.Create(ctx, id, paperrepro.SyncOps); err != nil {
 		t.Fatal(err)
 	}
 	for _, p := range []*bpel.Process{
@@ -237,12 +231,7 @@ func TestCancelPropagationEndToEnd(t *testing.T) {
 	if rep.Consistent() {
 		t.Fatal("choreography should be inconsistent before the buyer adapts")
 	}
-	var ops []change.Operation
-	for _, sg := range buyer.Suggestions {
-		if sg.Op != nil {
-			ops = append(ops, sg.Op)
-		}
-	}
+	ops := core.ExecutableOps(buyer.Suggestions)
 	if len(ops) == 0 {
 		t.Fatal("no executable suggestion")
 	}

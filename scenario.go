@@ -1,6 +1,8 @@
 package choreo
 
 import (
+	"context"
+
 	"repro/internal/paperrepro"
 )
 
@@ -23,16 +25,24 @@ func PaperAccounting() *Process { return paperrepro.AccountingProcess() }
 // paper Figs. 1 and 8b).
 func PaperLogistics() *Process { return paperrepro.LogisticsProcess() }
 
-// PaperScenario builds the full three-party choreography of paper
-// Fig. 1, consistency-checked.
-func PaperScenario() (*Choreography, error) {
-	c := NewChoreography(PaperRegistry())
-	for _, p := range []*Process{PaperBuyer(), PaperAccounting(), PaperLogistics()} {
-		if err := c.AddParty(p); err != nil {
-			return nil, err
-		}
+// PaperChoreography is the ID under which PaperScenario stores the
+// procurement choreography.
+const PaperChoreography = "procurement"
+
+// PaperScenario returns an in-memory store holding the three-party
+// choreography of paper Fig. 1 under PaperChoreography, registered as
+// one commit with logistics parcel tracking marked synchronous.
+func PaperScenario() (*ChoreographyStore, error) {
+	ctx := context.Background()
+	st := NewChoreographyStore()
+	if err := st.Create(ctx, PaperChoreography, paperrepro.SyncOps); err != nil {
+		return nil, err
 	}
-	return c, nil
+	parties := []*Process{PaperBuyer(), PaperAccounting(), PaperLogistics()}
+	if _, err := st.PutParties(ctx, PaperChoreography, parties, nil); err != nil {
+		return nil, err
+	}
+	return st, nil
 }
 
 // PaperOrderTwoChange returns the invariant additive change of paper
