@@ -425,7 +425,7 @@ func runServe(args []string) error {
 		return err
 	}
 	srv := choreo.NewChoreoServer(st)
-	httpSrv := &http.Server{Addr: *addr, Handler: srv.Handler()}
+	httpSrv := newHTTPServer(*addr, srv.Handler())
 	if *data == "" {
 		log.Printf("choreod listening on %s (in-memory)", *addr)
 		return httpSrv.ListenAndServe()
@@ -454,6 +454,33 @@ func runServe(args []string) error {
 			log.Printf("choreod: checkpointed %d bytes at LSN %d", info.Bytes, info.LSN)
 		}
 		return st.Close()
+	}
+}
+
+// Timeouts of the choreod HTTP server. The read timeouts bound a slow
+// or stalled client; a request body is at most 8 MiB. WriteTimeout
+// runs from the end of the request headers to the end of the response,
+// so it must outlast the longest handler: an ingest batch blocks until
+// every lane has applied and journaled it. IdleTimeout closes
+// keep-alive connections; it sits far above the seconds-long idle
+// spells of clients that take turns on their own connections.
+const (
+	serveReadHeaderTimeout = 10 * time.Second
+	serveReadTimeout       = time.Minute
+	serveWriteTimeout      = 2 * time.Minute
+	serveIdleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer builds the choreod HTTP server on addr with the serve
+// timeouts.
+func newHTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		ReadHeaderTimeout: serveReadHeaderTimeout,
+		ReadTimeout:       serveReadTimeout,
+		WriteTimeout:      serveWriteTimeout,
+		IdleTimeout:       serveIdleTimeout,
 	}
 }
 

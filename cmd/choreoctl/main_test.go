@@ -438,3 +438,35 @@ func TestParseMix(t *testing.T) {
 		}
 	}
 }
+
+// TestNewHTTPServerTimeouts pins the serve timeouts: the read bounds are
+// set and nest inside the write bound (WriteTimeout also covers reading
+// the body and running the handler), and idle keep-alive connections
+// survive far longer than a client's pause between turns. The server
+// it builds must still answer.
+func TestNewHTTPServerTimeouts(t *testing.T) {
+	h := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) { w.WriteHeader(http.StatusNoContent) })
+	srv := newHTTPServer("127.0.0.1:0", h)
+	if srv.ReadHeaderTimeout <= 0 || srv.ReadHeaderTimeout > srv.ReadTimeout || srv.ReadTimeout > srv.WriteTimeout {
+		t.Fatalf("read timeouts %v/%v must be set and nest inside WriteTimeout %v",
+			srv.ReadHeaderTimeout, srv.ReadTimeout, srv.WriteTimeout)
+	}
+	if srv.WriteTimeout < time.Minute || srv.IdleTimeout < time.Minute {
+		t.Fatalf("WriteTimeout %v and IdleTimeout %v must each be at least a minute", srv.WriteTimeout, srv.IdleTimeout)
+	}
+
+	l, err := net.Listen("tcp", srv.Addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	go srv.Serve(l)
+	defer srv.Close()
+	resp, err := http.Get("http://" + l.Addr().String() + "/")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNoContent {
+		t.Fatalf("status %d, want 204", resp.StatusCode)
+	}
+}

@@ -6,9 +6,10 @@
 //   - intersection (Def. 3) and annotated emptiness / bilateral
 //     consistency (Sec. 3.2),
 //   - difference (Def. 4), union (Sec. 5.2 step 2), complement,
-//   - ε-removal, determinization, completion, minimization,
+//   - ε-removal, determinization, completion, minimization into a
+//     canonical form,
 //   - bilateral views τ_P (Sec. 3.4) including annotation projection,
-//   - canonicalization and equivalence checking used by the
+//   - equivalence checking, used by the evolution analysis and the
 //     figure-reproduction tests,
 //   - language inspection helpers and DOT export.
 //
@@ -83,6 +84,14 @@ type Automaton struct {
 	final []bool
 	trans [][]edge
 	anno  [][]*formula.Formula
+
+	// minimal marks an automaton built by minimize: deterministic,
+	// trimmed, merged and numbered in canonical BFS order, so
+	// Equivalent compares it as it is. Every mutator clears the mark
+	// and Clone does not copy it; Reintern and CloneInto keep it, as
+	// minimality and the numbering depend on labels, not on symbol
+	// values.
+	minimal bool
 }
 
 // New returns an empty automaton with the given diagnostic name, no
@@ -125,12 +134,18 @@ func (a *Automaton) Reintern(in *label.Interner) {
 	a.syms = in
 }
 
+// IsMinimal reports whether a is marked as the output of Minimize and
+// unchanged since: its structure is the canonical minimal form of its
+// language and annotations.
+func (a *Automaton) IsMinimal() bool { return a.minimal }
+
 // NumStates returns |Q|.
 func (a *Automaton) NumStates() int { return len(a.trans) }
 
 // AddState creates a fresh non-final state and returns its ID. The
 // first state added becomes the start state unless SetStart is called.
 func (a *Automaton) AddState() StateID {
+	a.minimal = false
 	id := StateID(len(a.trans))
 	a.trans = append(a.trans, nil)
 	a.final = append(a.final, false)
@@ -148,6 +163,7 @@ func (a *Automaton) AddStates(n int) StateID {
 	if n <= 0 {
 		return first
 	}
+	a.minimal = false
 	a.trans = append(a.trans, make([][]edge, n)...)
 	a.final = append(a.final, make([]bool, n)...)
 	a.anno = append(a.anno, make([][]*formula.Formula, n)...)
@@ -163,6 +179,7 @@ func (a *Automaton) Start() StateID { return a.start }
 // SetStart makes q the start state.
 func (a *Automaton) SetStart(q StateID) {
 	a.mustState(q)
+	a.minimal = false
 	a.start = q
 }
 
@@ -175,6 +192,7 @@ func (a *Automaton) IsFinal(q StateID) bool {
 // SetFinal adds or removes q from F.
 func (a *Automaton) SetFinal(q StateID, final bool) {
 	a.mustState(q)
+	a.minimal = false
 	a.final[q] = final
 }
 
@@ -200,6 +218,7 @@ func (a *Automaton) AddTransition(from StateID, l label.Label, to StateID) {
 func (a *Automaton) addEdgeUnique(from StateID, sym label.Symbol, to StateID) {
 	a.mustState(from)
 	a.mustState(to)
+	a.minimal = false
 	for _, e := range a.trans[from] {
 		if e.sym == sym && e.to == to {
 			return
@@ -212,6 +231,7 @@ func (a *Automaton) addEdgeUnique(from StateID, sym label.Symbol, to StateID) {
 // for operator kernels that construct each (from, sym, to) at most
 // once by design.
 func (a *Automaton) addEdge(from StateID, sym label.Symbol, to StateID) {
+	a.minimal = false
 	a.trans[from] = append(a.trans[from], edge{sym: sym, to: to})
 }
 
@@ -279,6 +299,7 @@ func (a *Automaton) Annotate(q StateID, f *formula.Formula) {
 	if f.IsTrue() {
 		return
 	}
+	a.minimal = false
 	a.anno[q] = append(a.anno[q], f)
 }
 
@@ -303,6 +324,7 @@ func (a *Automaton) Annotation(q StateID) *formula.Formula {
 // ClearAnnotations removes every annotation of q.
 func (a *Automaton) ClearAnnotations(q StateID) {
 	a.mustState(q)
+	a.minimal = false
 	a.anno[q] = nil
 }
 
@@ -393,6 +415,16 @@ func (a *Automaton) Clone() *Automaton {
 	for q, fs := range a.anno {
 		c.anno[q] = append([]*formula.Formula(nil), fs...)
 	}
+	return c
+}
+
+// CloneInto returns a copy of a whose labels are interned into in. The
+// copy keeps a's minimal mark: only its symbol numbering differs, and
+// minimality is a property of labels.
+func (a *Automaton) CloneInto(in *label.Interner) *Automaton {
+	c := a.Clone()
+	c.Reintern(in)
+	c.minimal = a.minimal
 	return c
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/formula"
+	"repro/internal/label"
 )
 
 // Minimize returns the annotation-preserving minimal deterministic
@@ -14,6 +15,12 @@ import (
 // carry semantically equal annotations, so the minimized automaton is
 // both language- and viability-equivalent to the input (the paper
 // presents its view automata "minimized", Figs. 8, 13, 17).
+//
+// The result is also canonical: states are numbered in BFS order from
+// the start state, exploring transitions in label order, so two
+// automata with the same language and annotations minimize to
+// identical structures (minimal DFAs are unique up to renaming). The
+// result is marked minimal (IsMinimal) until it is mutated.
 func (a *Automaton) Minimize() *Automaton {
 	m, _ := a.minimize(false)
 	return m
@@ -47,6 +54,7 @@ func (a *Automaton) minimize(wantMembers bool) (*Automaton, map[StateID][]StateI
 
 	n := trimmed.NumStates()
 	if n == 0 {
+		trimmed.minimal = true
 		return trimmed, members
 	}
 
@@ -126,7 +134,12 @@ func (a *Automaton) minimize(wantMembers bool) (*Automaton, map[StateID][]StateI
 		}
 		return id
 	}
-	// Allocate states in a stable order: BFS from the start state.
+	// Allocate states in the canonical order: BFS from the start
+	// state. The first trimmed state of each class in this order is
+	// also that class's position in a BFS of the quotient (a later
+	// member of a class has the same successor classes as the first,
+	// so it discovers none), which is what makes the numbering
+	// canonical without a second renumbering pass.
 	order := bfsOrder(trimmed)
 	for _, q := range order {
 		classOf(q)
@@ -157,6 +170,7 @@ func (a *Automaton) minimize(wantMembers bool) (*Automaton, map[StateID][]StateI
 	for nq := range outMembers {
 		outMembers[nq] = dedupStates(outMembers[nq])
 	}
+	out.minimal = true
 	return out, outMembers
 }
 
@@ -175,8 +189,8 @@ func bfsOrder(a *Automaton) []StateID {
 	seen[a.start] = true
 	var scratch []edge
 	for i := 0; i < len(order); i++ {
-		// Explore in label order (via symbol ranks) for the stable
-		// numbering Canonical depends on.
+		// Explore in label order (via symbol ranks) for the
+		// canonical numbering minimize hands out.
 		scratch = append(scratch[:0], a.trans[order[i]]...)
 		sortEdges(scratch, ranks)
 		for _, e := range scratch {
@@ -201,79 +215,114 @@ func dedupStates(in []StateID) []StateID {
 	return dedupSortedIDs(in)
 }
 
-// Canonical returns a structurally canonical automaton: minimized,
-// states renumbered in BFS order (transitions explored in label
-// order), transition lists sorted. Two automata with the same language
-// and annotations canonicalize to identical structures, which is how
-// the figure-reproduction tests compare computed against expected
-// artifacts.
-func (a *Automaton) Canonical() *Automaton {
-	m := a.Minimize()
-	order := bfsOrder(m)
-	remap := make([]StateID, m.NumStates())
-	for i, q := range order {
-		remap[q] = StateID(i)
-	}
-	out := NewShared(a.Name, m.syms)
-	out.AddStates(m.NumStates())
-	if m.NumStates() == 0 {
-		return out
-	}
-	out.SetStart(remap[m.start])
-	for q := 0; q < m.NumStates(); q++ {
-		nq := remap[q]
-		out.final[nq] = m.final[q]
-		for _, f := range m.anno[q] {
-			out.Annotate(nq, f)
-		}
-		for _, e := range m.trans[q] {
-			out.addEdgeUnique(nq, e.sym, remap[e.to])
-		}
-	}
-	return out
-}
-
 // Equivalent reports whether a and b have the same language and the
 // same (semantically compared) annotations on corresponding states of
-// their canonical forms.
+// their minimal forms. An operand marked minimal (IsMinimal) is
+// compared as it is; any other is minimized once. The comparison
+// builds no text.
 func Equivalent(a, b *Automaton) bool {
-	return equivalentExplain(a, b) == ""
+	kind, _ := compareMinimal(a.minimalForm(), b.minimalForm())
+	return kind == sameStructure
 }
 
 // ExplainDifference returns "" when Equivalent(a, b), otherwise a
 // human-readable description of the first structural difference
-// between the canonical forms — used in test failure messages.
-func ExplainDifference(a, b *Automaton) string { return equivalentExplain(a, b) }
-
-func equivalentExplain(a, b *Automaton) string {
-	ca, cb := a.Canonical(), b.Canonical()
-	if ca.NumStates() != cb.NumStates() {
-		return fmt.Sprintf("state count %d vs %d\nA:\n%s\nB:\n%s", ca.NumStates(), cb.NumStates(), ca.DebugString(), cb.DebugString())
-	}
-	if ca.NumStates() == 0 {
+// between the minimal forms — used in test failure messages.
+func ExplainDifference(a, b *Automaton) string {
+	ca, cb := a.minimalForm(), b.minimalForm()
+	kind, q := compareMinimal(ca, cb)
+	switch kind {
+	case sameStructure:
 		return ""
+	case diffStateCount:
+		return fmt.Sprintf("state count %d vs %d\nA:\n%s\nB:\n%s", ca.NumStates(), cb.NumStates(), ca.DebugString(), cb.DebugString())
+	case diffFinal:
+		return fmt.Sprintf("state %d finality %t vs %t\nA:\n%s\nB:\n%s", q, ca.final[q], cb.final[q], ca.DebugString(), cb.DebugString())
+	case diffAnnotation:
+		return fmt.Sprintf("state %d annotation %q vs %q", q, ca.Annotation(q), cb.Annotation(q))
 	}
-	if ca.start != cb.start {
-		return fmt.Sprintf("start state %d vs %d", ca.start, cb.start)
+	ta, tb := ca.Transitions(q), cb.Transitions(q)
+	if len(ta) != len(tb) {
+		return fmt.Sprintf("state %d transition count %d vs %d\nA:\n%s\nB:\n%s", q, len(ta), len(tb), ca.DebugString(), cb.DebugString())
 	}
-	for q := 0; q < ca.NumStates(); q++ {
-		if ca.final[q] != cb.final[q] {
-			return fmt.Sprintf("state %d finality %t vs %t\nA:\n%s\nB:\n%s", q, ca.final[q], cb.final[q], ca.DebugString(), cb.DebugString())
+	i := 0
+	for i < len(ta)-1 && ta[i] == tb[i] {
+		i++
+	}
+	return fmt.Sprintf("state %d transition %d: %v vs %v\nA:\n%s\nB:\n%s", q, i, ta[i], tb[i], ca.DebugString(), cb.DebugString())
+}
+
+// minimalForm returns a itself when it is marked minimal, else its
+// minimization.
+func (a *Automaton) minimalForm() *Automaton {
+	if a.minimal {
+		return a
+	}
+	return a.Minimize()
+}
+
+// diffKind names the first structural difference compareMinimal finds.
+type diffKind int
+
+const (
+	sameStructure diffKind = iota
+	diffStateCount
+	diffFinal
+	diffTransitions
+	diffAnnotation
+)
+
+// compareMinimal compares two minimal automata state by state — their
+// numbering is canonical (see Minimize), with the start state first —
+// and returns the first difference and the state it was found at
+// (None for a state-count difference). Per state it checks finality,
+// then transitions, then annotations. It allocates only to compare
+// non-trivial annotations.
+func compareMinimal(a, b *Automaton) (diffKind, StateID) {
+	if a.NumStates() != b.NumStates() {
+		return diffStateCount, None
+	}
+	la, lb := a.syms.Labels(), b.syms.Labels()
+	for q := range a.trans {
+		if a.final[q] != b.final[q] {
+			return diffFinal, StateID(q)
 		}
-		ta, tb := ca.Transitions(StateID(q)), cb.Transitions(StateID(q))
-		if len(ta) != len(tb) {
-			return fmt.Sprintf("state %d transition count %d vs %d\nA:\n%s\nB:\n%s", q, len(ta), len(tb), ca.DebugString(), cb.DebugString())
+		if !sameEdges(a.trans[q], b.trans[q], la, lb) {
+			return diffTransitions, StateID(q)
 		}
-		for i := range ta {
-			if ta[i] != tb[i] {
-				return fmt.Sprintf("state %d transition %d: %v vs %v\nA:\n%s\nB:\n%s", q, i, ta[i], tb[i], ca.DebugString(), cb.DebugString())
+		if (len(a.anno[q]) != 0 || len(b.anno[q]) != 0) && !annotationsEqual(a, b, StateID(q)) {
+			return diffAnnotation, StateID(q)
+		}
+	}
+	return sameStructure, None
+}
+
+// sameEdges reports whether two deterministic edge lists carry the
+// same (label, target) pairs; la and lb are their interners' labels.
+// The lists need not be in the same order (a reinterned automaton
+// keeps its numbering but not its symbol order), so an edge that does
+// not match its counterpart at the same index is looked up in the
+// whole list — determinism makes any match the only one.
+func sameEdges(ea, eb []edge, la, lb label.View) bool {
+	if len(ea) != len(eb) {
+		return false
+	}
+	for i, e := range ea {
+		if f := eb[i]; e.to == f.to && la[e.sym] == lb[f.sym] {
+			continue
+		}
+		found := false
+		for _, f := range eb {
+			if e.to == f.to && la[e.sym] == lb[f.sym] {
+				found = true
+				break
 			}
 		}
-		if !annotationsEqual(ca, cb, StateID(q)) {
-			return fmt.Sprintf("state %d annotation %q vs %q", q, ca.Annotation(StateID(q)), cb.Annotation(StateID(q)))
+		if !found {
+			return false
 		}
 	}
-	return ""
+	return true
 }
 
 func annotationsEqual(a, b *Automaton, q StateID) bool {

@@ -16,9 +16,7 @@ func alignedTo(b *Automaton, in *label.Interner) *Automaton {
 	if b.syms == in {
 		return b
 	}
-	c := b.Clone()
-	c.Reintern(in)
-	return c
+	return b.CloneInto(in)
 }
 
 // Complete returns a copy in which every state has an outgoing

@@ -133,7 +133,7 @@ func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
-// ---- shared core (version-agnostic logic both route sets delegate to) ----
+// ---- shared helpers of the /v2/ handlers ----
 
 func parseProcess(xml string) (*bpel.Process, error) {
 	if xml == "" {

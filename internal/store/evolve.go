@@ -123,7 +123,10 @@ func (s *Store) evolveSnapshot(ctx context.Context, snap *Snapshot, party string
 		Registry:        reg,
 		PartnerVersions: map[string]uint64{},
 	}
-	evo.PublicChanged, evo.Impacts, err = core.Impacts(ctx, snapParties{s, snap}, party, originator.Public, res.Automaton, snap.Registry)
+	// The old public is compared in its memoized minimal form; the
+	// memoized views are View outputs and so minimal already, and
+	// the derived candidate is minimal as it comes from Derive.
+	evo.PublicChanged, evo.Impacts, err = core.Impacts(ctx, snapParties{s, snap}, party, originator.minimalPublic(), res.Automaton, snap.Registry)
 	if err != nil {
 		return nil, err
 	}
@@ -194,12 +197,13 @@ func (s *Store) CommitEvolutionIdem(ctx context.Context, evo *Evolution, key str
 	next.Version = cur.Version + 1
 	next.Registry = evo.Registry
 	// Move the committed public onto the choreography's shared
-	// interner (on a clone: the caller may still be reading the
+	// interner (on a copy: the caller may still be reading the
 	// analyzed evolution concurrently), so the published party state
 	// shares the snapshot-wide symbol space. Only committed labels
-	// ever enter the shared interner.
-	pub := evo.NewPublic.Clone()
-	pub.Reintern(next.syms)
+	// ever enter the shared interner. The copy keeps the minimal mark
+	// of the derived public, so the new version's evolves compare
+	// against it as it stands.
+	pub := evo.NewPublic.CloneInto(next.syms)
 	next.parties[evo.Party] = newPartyState(evo.NewPrivate,
 		&mapping.Result{Automaton: pub, Table: evo.NewTable}, old.Version+1)
 	next.computePairs()

@@ -36,6 +36,12 @@ type PartyState struct {
 	viewMu sync.RWMutex
 	views  map[string]*afsa.Automaton
 
+	// minPublic memoizes the minimal form of Public: every evolve of
+	// this party version compares its candidate public against it, so
+	// the old side is minimized at most once per version.
+	minOnce   sync.Once
+	minPublic *afsa.Automaton
+
 	// chk memoizes the compliance checker over Public (determinized
 	// automaton + viable-state set): migration sweeps classify every
 	// instance of this party version through one shared checker.
@@ -74,6 +80,20 @@ func (ps *PartyState) view(forParty string) (*afsa.Automaton, bool) {
 	}
 	ps.viewMu.Unlock()
 	return v, false
+}
+
+// minimalPublic returns the memoized minimal form of Public — Public
+// itself when it is marked minimal, as every public the store
+// publishes is (Derive output, moved onto the shared interner with
+// Reintern or CloneInto), else its minimization.
+func (ps *PartyState) minimalPublic() *afsa.Automaton {
+	ps.minOnce.Do(func() {
+		ps.minPublic = ps.Public
+		if !ps.Public.IsMinimal() {
+			ps.minPublic = ps.Public.Minimize()
+		}
+	})
+	return ps.minPublic
 }
 
 // complianceChecker returns the memoized ADEPT-style compliance

@@ -37,10 +37,11 @@ type target struct {
 // defaultTargets covers the kernel benchmarks the perf acceptance
 // criteria track: whole-scenario consistency, the operator scaling
 // series, public-process derivation, the bulk-migration sweep, and the
-// streaming event-ingestion path, and the mixed-traffic load harness.
+// streaming event-ingestion path, the evolution analysis, and the
+// mixed-traffic load harness.
 var defaultTargets = []target{
 	{Pkg: ".", Bench: "^(BenchmarkScenarioConsistency|BenchmarkIntersectScale|BenchmarkMinimizeScale|BenchmarkDeriveScale|BenchmarkScenarioCommitJournal)$"},
-	{Pkg: "./internal/store", Bench: "^(BenchmarkMigrateAll|BenchmarkIngestEvents|BenchmarkChaosSoak)$"},
+	{Pkg: "./internal/store", Bench: "^(BenchmarkMigrateAll|BenchmarkIngestEvents|BenchmarkChaosSoak|BenchmarkEvolveAnalysis)$"},
 	{Pkg: "./internal/loadgen", Bench: "^(BenchmarkLoadgen|BenchmarkLoadgenFaults)$"},
 }
 
